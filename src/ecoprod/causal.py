@@ -47,6 +47,7 @@ from .seeding import derive_seed
 logger = logging.getLogger(__name__)
 
 PROPENSITY_CLIP = (0.01, 0.99)
+MIN_BOOTSTRAP = 50
 
 
 class Method(Enum):
@@ -134,8 +135,8 @@ def bootstrap_ci(
     """Percentile bootstrap of an estimator over resampled-with-replacement
     datasets.  Replicates where the estimator raises are dropped and counted;
     more than 10% failures aborts."""
-    if n_boot < 50:
-        raise CausalError("need at least 50 bootstrap replicates")
+    if n_boot < MIN_BOOTSTRAP:
+        raise CausalError(f"need at least {MIN_BOOTSTRAP} bootstrap replicates")
     if not 0.0 < level < 1.0:
         raise CausalError("level must lie in (0, 1)")
     estimates = []
@@ -350,15 +351,6 @@ def bootstrap_group_diff_ci(
         control = control_values[rng.integers(0, control_values.shape[0], control_values.shape[0])]
         diffs[b] = treated.mean() - control.mean()
     return percentile_interval(diffs, level)
-
-
-_POINT_ESTIMATORS: dict[Method, Callable[..., float]] = {
-    Method.DIFF_MEANS: diff_means_point,
-    Method.S: s_learner_point,
-    Method.T: t_learner_point,
-    Method.X: x_learner_point,
-    Method.R: r_learner_point,
-}
 
 
 def _estimate_with_ci(

@@ -161,6 +161,10 @@ class ClusterOptions:
     smoothed_p: bool = False
     row_normalize: bool = True
 
+    def __post_init__(self):
+        if self.permutations < 1:
+            raise ConfigError(f"permutations must be >= 1, got {self.permutations}")
+
 
 def stage_cluster(
     complaints_path: Path,
@@ -387,6 +391,13 @@ class CausalOptions:
     base_learner: gbm.TrainConfig = causal_mod.DEFAULT_BASE_CONFIG
     unit: str = "message"  # message | province
 
+    def __post_init__(self):
+        if self.bootstrap != 0 and self.bootstrap < causal_mod.MIN_BOOTSTRAP:
+            raise ConfigError(
+                f"bootstrap must be 0 (no intervals) or at least {causal_mod.MIN_BOOTSTRAP}, "
+                f"got {self.bootstrap}"
+            )
+
 
 def _complaint_covariate(
     complaint: ds.ComplaintRecord,
@@ -482,7 +493,7 @@ def _province_level_estimate(
     ci_low = ci_high = None
     if boot:
         ci_low, ci_high = causal_mod.percentile_bootstrap_mean(
-            by_province, max(boot, 50), 0.95, method_seed
+            by_province, boot, 0.95, method_seed
         )
     return causal_mod.AteEstimate(
         ate=float(np.clip(by_province.mean(), -1, 1)), ci_low=ci_low, ci_high=ci_high, method=enum,
@@ -536,9 +547,7 @@ def stage_causal(
             estimate = causal_mod.r_learner(data, base, n_boot=options.bootstrap, seed=method_seed)
         elif method == "cevae":
             model, config = _fit_cevae(data, options, method_seed)
-            estimate = causal_mod.cevae_ate(
-                model, data, n_boot=max(options.bootstrap, 50), seed=method_seed
-            )
+            estimate = causal_mod.cevae_ate(model, data, n_boot=options.bootstrap, seed=method_seed)
             report["cevae_diagnostics"] = {
                 "loss_history": model.loss_history,
                 "preset": options.preset,

@@ -11,6 +11,22 @@ and leaves take the Newton weight -G/(H + lambda).  The logistic objective
 objective (g = pred - y, h = 1, optionally sample-weighted) backs the
 regressors the treatment-effect meta-learners need.
 
+Split search runs on presorted column blocks (Chen & Guestrin, KDD 2016,
+section 4.1).  Each fit sorts every column once with a stable argsort into a
+(features x rows) index matrix whose row f lists the training rows in
+ascending order of feature f, ties in ascending row index.  When a node
+splits, each child keeps the entries of the parent's block that fall on its
+side, picked by a boolean mask, so every block row stays sorted by (value,
+row index).  A node's block is therefore exactly what a stable argsort of
+the node's rows (held in ascending order) would give, and the search scores
+all features at once with prefix sums along each block row.  The result is
+bit-identical to sorting at every node: the same rows are summed in the same
+order (prefix sums run along each row; node totals run over the node's rows
+in ascending order), and the tie-break is unchanged (first boundary, then
+first feature; only a strictly greater gain wins; a gain must exceed 1e-12;
+a feature whose best gain is NaN is skipped).  Each leaf adds its weight to
+the round's update vector as it is grown, so no tree walk follows a round.
+
 Trees route strictly-less-than-threshold to the left child and record the
 training sample count as the node cover, which the Shapley attribution pass
 reuses as its background distribution.
@@ -146,74 +162,97 @@ def predict_value(model: BoostedModel, x_matrix: np.ndarray) -> np.ndarray:
     return predict_margin(model, x_matrix)
 
 
+def _column_blocks(x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-major copy of the matrix and its presorted block: row f of the
+    (features x rows) block lists the rows by ascending feature f, ties by
+    ascending row index."""
+    x_columns = np.ascontiguousarray(x_matrix.T)
+    return x_columns, np.argsort(x_columns, axis=1, kind="stable")
+
+
 def _best_split(
-    x_matrix: np.ndarray,
+    x_columns: np.ndarray,
     rows: np.ndarray,
+    block: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     counts_weight: np.ndarray,
     reg_lambda: float,
     min_child_cover: float,
 ) -> tuple[float, int, float] | None:
-    """Exact greedy search over all features; returns (gain, feature, threshold)."""
+    """Exact greedy search over all features at once on the node's sorted
+    block; returns (gain, feature, threshold)."""
     g_total = g[rows].sum()
     h_total = h[rows].sum()
+    cover_total = counts_weight[rows].sum()
     parent_score = g_total * g_total / (h_total + reg_lambda)
 
-    best = None
-    for feature in range(x_matrix.shape[1]):
-        values = x_matrix[rows, feature]
-        order = np.argsort(values, kind="stable")
-        xs = values[order]
-        boundaries = np.nonzero(np.diff(xs) > 0)[0]
-        if boundaries.size == 0:
-            continue
-        gs = np.cumsum(g[rows][order])[boundaries]
-        hs = np.cumsum(h[rows][order])[boundaries]
-        left_cover = np.cumsum(counts_weight[rows][order])[boundaries]
-        right_cover = counts_weight[rows].sum() - left_cover
-
-        admissible = (left_cover >= min_child_cover) & (right_cover >= min_child_cover)
-        if not np.any(admissible):
-            continue
+    xs = np.take_along_axis(x_columns, block, axis=1)
+    gs = np.cumsum(g[block], axis=1)[:, :-1]
+    hs = np.cumsum(h[block], axis=1)[:, :-1]
+    left_cover = np.cumsum(counts_weight[block], axis=1)[:, :-1]
+    right_cover = cover_total - left_cover
+    candidate = (
+        (np.diff(xs, axis=1) > 0)
+        & (left_cover >= min_child_cover)
+        & (right_cover >= min_child_cover)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # non-candidates are discarded
         gains = 0.5 * (
             gs * gs / (hs + reg_lambda)
             + (g_total - gs) ** 2 / (h_total - hs + reg_lambda)
             - parent_score
         )
-        gains[~admissible] = -np.inf
-        pick = int(np.argmax(gains))  # first max wins: stable tie-break
-        gain = float(gains[pick])
-        if gain > 1e-12 and (best is None or gain > best[0]):
-            b = boundaries[pick]
-            threshold = 0.5 * (xs[b] + xs[b + 1])
-            best = (gain, feature, float(threshold))
-    return best
+    gains[~candidate] = -np.inf
+    picks = np.argmax(gains, axis=1)  # first max wins; a NaN max is picked and fails below
+    feature_gains = gains[np.arange(gains.shape[0]), picks]
+    eligible = feature_gains > 1e-12
+    if not np.any(eligible):
+        return None
+    feature = int(np.argmax(np.where(eligible, feature_gains, -np.inf)))  # first best feature
+    b = picks[feature]
+    threshold = 0.5 * (xs[feature, b] + xs[feature, b + 1])
+    return float(feature_gains[feature]), feature, float(threshold)
 
 
 def _grow_tree(
-    x_matrix: np.ndarray,
+    x_columns: np.ndarray,
     rows: np.ndarray,
+    block: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     counts_weight: np.ndarray,
     config: TrainConfig,
     depth: int,
+    update: np.ndarray,
 ) -> TreeNode:
+    """Grow the subtree over `rows` (ascending) with sorted block `block`;
+    each leaf adds its weight to `update` at its rows."""
     cover = float(counts_weight[rows].sum())
     split = (
-        _best_split(x_matrix, rows, g, h, counts_weight, config.reg_lambda, config.min_child_cover)
+        _best_split(
+            x_columns, rows, block, g, h, counts_weight, config.reg_lambda, config.min_child_cover
+        )
         if depth < config.max_depth and rows.shape[0] > 1
         else None
     )
     if split is None:
-        weight = -g[rows].sum() / (h[rows].sum() + config.reg_lambda)
-        return TreeNode(cover=cover, weight=float(weight))
+        weight = float(-g[rows].sum() / (h[rows].sum() + config.reg_lambda))
+        update[rows] += weight
+        return TreeNode(cover=cover, weight=weight)
     _, feature, threshold = split
-    goes_left = x_matrix[rows, feature] < threshold
+    goes_left = x_columns[feature] < threshold
+    in_left = goes_left[block]
+    n_features = block.shape[0]
     node = TreeNode(cover=cover, feature=feature, threshold=threshold)
-    node.left = _grow_tree(x_matrix, rows[goes_left], g, h, counts_weight, config, depth + 1)
-    node.right = _grow_tree(x_matrix, rows[~goes_left], g, h, counts_weight, config, depth + 1)
+    node.left = _grow_tree(
+        x_columns, rows[goes_left[rows]], block[in_left].reshape(n_features, -1),
+        g, h, counts_weight, config, depth + 1, update,
+    )
+    node.right = _grow_tree(
+        x_columns, rows[~goes_left[rows]], block[~in_left].reshape(n_features, -1),
+        g, h, counts_weight, config, depth + 1, update,
+    )
     return node
 
 
@@ -256,16 +295,16 @@ def train_classifier(
     n = x_matrix.shape[0]
     counts_weight = np.ones(n)
     rows = np.arange(n)
+    x_columns, block = _column_blocks(x_matrix)
     margins = np.full(n, model.base_score)
     loss = _logistic_loss(y, 1.0 / (1.0 + np.exp(-margins)))
     for round_index in range(config.rounds):
         p = 1.0 / (1.0 + np.exp(-margins))
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_tree(x_matrix, rows, g, h, counts_weight, config, depth=0)
-        model.trees.append(tree)
         update = np.zeros(n)
-        _predict_tree(tree, x_matrix, update, rows)
+        tree = _grow_tree(x_columns, rows, block, g, h, counts_weight, config, 0, update)
+        model.trees.append(tree)
         margins = margins + config.eta * update
         new_loss = _logistic_loss(y, 1.0 / (1.0 + np.exp(-margins)))
         if new_loss > loss + LOSS_INCREASE_TOL * max(1.0, abs(loss)):
@@ -298,14 +337,14 @@ def train_regressor(
         feature_names=tuple(feature_names), objective="squared",
     )
     rows = np.arange(n)
+    x_columns, block = _column_blocks(x_matrix)
     preds = np.full(n, model.base_score)
     for _ in range(config.rounds):
         g = weights * (preds - y)
         h = weights.copy()
-        tree = _grow_tree(x_matrix, rows, g, h, weights, config, depth=0)
-        model.trees.append(tree)
         update = np.zeros(n)
-        _predict_tree(tree, x_matrix, update, rows)
+        tree = _grow_tree(x_columns, rows, block, g, h, weights, config, 0, update)
+        model.trees.append(tree)
         preds = preds + config.eta * update
     return model
 

@@ -2,8 +2,9 @@
 
 Nothing here may call into the implementation paths under test: the LP
 oracle enumerates basic solutions directly, the Shapley oracle enumerates
-feature subsets, and the clustering metrics are computed from first
-principles.
+feature subsets, the boosting oracle sorts every feature at every node and
+refits by walking each finished tree, and the clustering metrics are
+computed from first principles.
 """
 
 from __future__ import annotations
@@ -148,6 +149,136 @@ def brute_force_shapley(model, x_row: np.ndarray) -> np.ndarray:
                         - tree_conditional_expectation(tree, x_row, without)
                     )
     return model.eta * phi
+
+
+def _reference_split(x, rows, g, h, cover, reg_lambda, min_child_cover):
+    """Exact greedy split: stable argsort of each feature over the node's rows."""
+    g_total = g[rows].sum()
+    h_total = h[rows].sum()
+    parent_score = g_total * g_total / (h_total + reg_lambda)
+    best = None
+    for feature in range(x.shape[1]):
+        values = x[rows, feature]
+        order = np.argsort(values, kind="stable")
+        xs = values[order]
+        boundaries = np.nonzero(np.diff(xs) > 0)[0]
+        if boundaries.size == 0:
+            continue
+        gs = np.cumsum(g[rows][order])[boundaries]
+        hs = np.cumsum(h[rows][order])[boundaries]
+        left_cover = np.cumsum(cover[rows][order])[boundaries]
+        right_cover = cover[rows].sum() - left_cover
+        admissible = (left_cover >= min_child_cover) & (right_cover >= min_child_cover)
+        if not np.any(admissible):
+            continue
+        gains = 0.5 * (
+            gs * gs / (hs + reg_lambda)
+            + (g_total - gs) ** 2 / (h_total - hs + reg_lambda)
+            - parent_score
+        )
+        gains[~admissible] = -np.inf
+        pick = int(np.argmax(gains))
+        gain = float(gains[pick])
+        if gain > 1e-12 and (best is None or gain > best[0]):
+            b = boundaries[pick]
+            best = (gain, feature, float(0.5 * (xs[b] + xs[b + 1])))
+    return best
+
+
+def _reference_tree(x, rows, g, h, cover, config, depth):
+    """One tree in the documented model.json node schema."""
+    node_cover = float(cover[rows].sum())
+    split = (
+        _reference_split(x, rows, g, h, cover, config.reg_lambda, config.min_child_cover)
+        if depth < config.max_depth and rows.shape[0] > 1
+        else None
+    )
+    if split is None:
+        weight = -g[rows].sum() / (h[rows].sum() + config.reg_lambda)
+        return {"weight": float(weight), "cover": node_cover}
+    _, feature, threshold = split
+    goes_left = x[rows, feature] < threshold
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "cover": node_cover,
+        "left": _reference_tree(x, rows[goes_left], g, h, cover, config, depth + 1),
+        "right": _reference_tree(x, rows[~goes_left], g, h, cover, config, depth + 1),
+    }
+
+
+def _reference_walk(node, x, out, rows) -> None:
+    if "weight" in node:
+        out[rows] += node["weight"]
+        return
+    goes_left = x[rows, node["feature"]] < node["threshold"]
+    _reference_walk(node["left"], x, out, rows[goes_left])
+    _reference_walk(node["right"], x, out, rows[~goes_left])
+
+
+def _reference_fit(x, targets, weights, base_score, gradients, config):
+    """Boost `config.rounds` trees; each round refits by walking its tree."""
+    n = x.shape[0]
+    rows = np.arange(n)
+    margins = np.full(n, base_score)
+    trees = []
+    margins_per_round = []
+    for _ in range(config.rounds):
+        g, h = gradients(margins, targets, weights)
+        tree = _reference_tree(x, rows, g, h, weights, config, 0)
+        trees.append(tree)
+        update = np.zeros(n)
+        _reference_walk(tree, x, update, rows)
+        margins = margins + config.eta * update
+        margins_per_round.append(margins)
+    return trees, margins_per_round
+
+
+def reference_boosted_classifier(x, y, config) -> tuple[dict, list[float]]:
+    """Logistic boosting by per-node sorting; returns (model.json dict,
+    per-round training loss)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+
+    def gradients(margins, targets, _weights):
+        p = 1.0 / (1.0 + np.exp(-margins))
+        return p - targets, p * (1.0 - p)
+
+    trees, margins_per_round = _reference_fit(x, y, np.ones(x.shape[0]), 0.0, gradients, config)
+    losses = []
+    for margins in margins_per_round:
+        p = np.clip(1.0 / (1.0 + np.exp(-margins)), 1e-15, 1.0 - 1e-15)
+        losses.append(float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    model = {
+        "objective": "logistic",
+        "base_score": 0.0,
+        "eta": config.eta,
+        "feature_names": [f"f{j}" for j in range(x.shape[1])],
+        "trees": trees,
+    }
+    return model, losses
+
+
+def reference_boosted_regressor(x, y, config, sample_weight=None) -> dict:
+    """Squared-loss boosting by per-node sorting; returns the model.json dict."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    weights = (
+        np.ones(x.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    )
+    base_score = float(np.average(y, weights=weights) if weights.sum() else 0.0)
+
+    def gradients(preds, targets, w):
+        return w * (preds - targets), w.copy()
+
+    trees, _ = _reference_fit(x, y, weights, base_score, gradients, config)
+    return {
+        "objective": "squared",
+        "base_score": base_score,
+        "eta": config.eta,
+        "feature_names": [f"f{j}" for j in range(x.shape[1])],
+        "trees": trees,
+    }
 
 
 def adjusted_rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:

@@ -204,3 +204,49 @@ def test_threads_env_is_validated(monkeypatch, tmp_path, capsys):
                    "--embedding-dim", "4"])
     assert rc == 2
     assert "ECOPROD_THREADS" in capsys.readouterr().err
+
+
+def causal_args(fixture_dir, out, *extra):
+    return [
+        "causal", "--provinces", str(fixture_dir / "provinces.csv"),
+        "--complaints", str(fixture_dir / "complaints.jsonl"),
+        "--dea-scores", str(fixture_dir / "run_a" / "dea_scores.csv"),
+        "--clusters", str(fixture_dir / "run_a" / "clusters.csv"),
+        "--out", str(out), *extra,
+    ]
+
+
+@pytest.mark.parametrize("unit", ["message", "province"])
+def test_causal_bootstrap_below_fifty_exits_2(fixture_dir, tmp_path, capsys, unit):
+    rc = cli.main(causal_args(fixture_dir, tmp_path / unit, "--method", "diffmeans",
+                              "--bootstrap", "10", "--unit", unit))
+    assert rc == 2
+    assert "bootstrap" in capsys.readouterr().err
+    assert not (tmp_path / unit / "ate_report.json").exists()
+
+
+def test_causal_bootstrap_zero_gives_cevae_no_interval(fixture_dir, tmp_path):
+    out = tmp_path / "cevae"
+    rc = cli.main(causal_args(fixture_dir, out, "--method", "cevae", "--bootstrap", "0",
+                              "--epochs", "2", "--seed", "3"))
+    assert rc == 0
+    estimate = json.loads((out / "ate_report.json").read_text())["cevae"]
+    assert -1.0 <= estimate["ate"] <= 1.0
+    assert estimate["ci_low"] is None and estimate["ci_high"] is None
+
+
+def test_zero_permutations_exits_2(fixture_dir, tmp_path, capsys):
+    rc = cli.main(["cluster", "--complaints", str(fixture_dir / "complaints.jsonl"),
+                   "--out", str(tmp_path / "flag"), "--permutations", "0"])
+    assert rc == 2
+    assert "permutations" in capsys.readouterr().err
+
+    config = small_config("zero_perm", permutations=0)
+    config["inputs"] = {"provinces": str(fixture_dir / "provinces.csv"),
+                        "complaints": str(fixture_dir / "complaints.jsonl")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = cli.main(["pipeline", "--config", str(path)])
+    assert rc == 2
+    assert "permutations" in capsys.readouterr().err
+    assert not (tmp_path / "zero_perm").exists()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ecoprod import gbm
 from ecoprod.errors import DegenerateSplitError, TrainingError
 
-from oracles import adjusted_rand_index
+from oracles import adjusted_rand_index, reference_boosted_classifier, reference_boosted_regressor
 
 
 def perfectly_split_data():
@@ -106,6 +107,62 @@ def test_model_json_round_trip(tmp_path):
     probe = np.linspace(-1, 2, 7)[:, None]
     assert gbm.predict_margin(loaded, probe) == pytest.approx(gbm.predict_margin(model, probe))
     assert loaded.feature_names == model.feature_names
+
+
+def _equivalence_case(name):
+    """Matrices that stress the presorted-block bookkeeping: ties, constants,
+    uneven and zero weights, a binding cover floor, and tiny nodes."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    weights = None
+    config = gbm.TrainConfig(rounds=6, max_depth=3, eta=0.3)
+    if name == "tied-integers":
+        x = rng.integers(0, 3, (80, 4)).astype(float)
+    elif name == "constant-column":
+        x = rng.standard_normal((60, 3))
+        x[:, 1] = 2.5
+    elif name == "uneven-weights":
+        x = np.round(rng.standard_normal((70, 3)), 1)
+        weights = rng.choice([0.0, 0.25, 1.0, 4.0], 70)
+        weights[:10] = 0.0
+    elif name == "binding-cover":
+        x = rng.integers(0, 6, (50, 3)).astype(float)
+        config = gbm.TrainConfig(rounds=6, max_depth=4, eta=0.3, min_child_cover=9.0)
+    else:  # tiny-nodes
+        x = rng.integers(0, 4, (9, 3)).astype(float)
+        config = gbm.TrainConfig(rounds=6, max_depth=4, eta=0.5, min_child_cover=0.0)
+    y = (x[:, 0] + rng.standard_normal(x.shape[0]) > np.median(x[:, 0])).astype(float)
+    return x, y, weights, config
+
+
+def _leaf_covers(node):
+    if "weight" in node:
+        return [node["cover"]]
+    return _leaf_covers(node["left"]) + _leaf_covers(node["right"])
+
+
+EQUIVALENCE_CASES = ("tied-integers", "constant-column", "uneven-weights", "binding-cover", "tiny-nodes")
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_CASES)
+def test_presorted_blocks_match_per_node_sort_oracle(name):
+    x, y, weights, config = _equivalence_case(name)
+    classifier = gbm.train_classifier(x, y, config)
+    expected, losses = reference_boosted_classifier(x, y, config)
+    assert json.dumps(gbm.model_to_json(classifier), sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert classifier.training_loss == losses
+
+    target = x @ np.arange(1.0, x.shape[1] + 1.0) + np.random.default_rng(0).standard_normal(x.shape[0])
+    regressor = gbm.train_regressor(x, target, config, sample_weight=weights)
+    expected = reference_boosted_regressor(x, target, config, sample_weight=weights)
+    assert json.dumps(gbm.model_to_json(regressor), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    covers = [c for tree in expected["trees"] for c in _leaf_covers(tree)]
+    if name == "tiny-nodes":
+        assert min(covers) <= 2.0
+    if name == "binding-cover":
+        loose = reference_boosted_regressor(x, target, replace(config, min_child_cover=0.0))
+        assert min(covers) >= 9.0
+        assert loose["trees"] != expected["trees"]
 
 
 def test_regressor_fits_smooth_target():
