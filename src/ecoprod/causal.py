@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .dataset import calibrate_treatment_shift
-from .errors import BootstrapError, CausalError, TrainingDivergenceError
+from .errors import BootstrapError, CausalError, EcoprodError, TrainingDivergenceError
 from .gbm import (
     TrainConfig,
     predict_proba,
@@ -51,12 +51,12 @@ MIN_BOOTSTRAP = 50
 
 
 class Method(Enum):
-    CEVAE = "cevae"
+    DIFF_MEANS = "diffmeans"
     S = "s"
     T = "t"
     X = "x"
     R = "r"
-    DIFF_MEANS = "diffmeans"
+    CEVAE = "cevae"
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,28 @@ def percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]
     return float(values[low_rank - 1]), float(values[high_rank - 1])
 
 
+def _bootstrap(n_boot: int, seed: int, replicate: Callable[[np.random.Generator], float]) -> np.ndarray:
+    """`replicate` under the generator of each `bootstrap:<b>`, b < n_boot.  A replicate that
+    raises an EcoprodError (a data-driven failure, such as a one-arm resample) is dropped and
+    counted, and more than 10% failures aborts; any other exception is a bug and propagates."""
+    estimates = []
+    failures = 0
+    for b in range(n_boot):
+        rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{b}"))
+        try:
+            estimates.append(float(replicate(rng)))
+        except EcoprodError as exc:
+            failures += 1
+            logger.debug("bootstrap replicate %d failed: %s", b, exc)
+    if failures > 0.1 * n_boot:
+        raise BootstrapError(f"{failures}/{n_boot} bootstrap replicates failed")
+    return np.array(estimates)
+
+
+def _resample(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return values[rng.integers(0, values.shape[0], values.shape[0])]
+
+
 def bootstrap_ci(
     estimator: Callable[[CausalDataset], float],
     data: CausalDataset,
@@ -133,25 +155,13 @@ def bootstrap_ci(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Percentile bootstrap of an estimator over resampled-with-replacement
-    datasets.  Replicates where the estimator raises are dropped and counted;
-    more than 10% failures aborts."""
+    datasets; failed replicates are handled by `_bootstrap`."""
     if n_boot < MIN_BOOTSTRAP:
         raise CausalError(f"need at least {MIN_BOOTSTRAP} bootstrap replicates")
     if not 0.0 < level < 1.0:
         raise CausalError("level must lie in (0, 1)")
-    estimates = []
-    failures = 0
-    for b in range(n_boot):
-        rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{b}"))
-        indices = rng.integers(0, data.n, data.n)
-        try:
-            estimates.append(float(estimator(data.subset(indices))))
-        except Exception as exc:  # noqa: BLE001 - replicate failures are data-driven
-            failures += 1
-            logger.debug("bootstrap replicate %d failed: %s", b, exc)
-    if failures > 0.1 * n_boot:
-        raise BootstrapError(f"{failures}/{n_boot} bootstrap replicates failed")
-    return percentile_interval(np.array(estimates), level)
+    estimates = _bootstrap(n_boot, seed, lambda rng: estimator(data.subset(rng.integers(0, data.n, data.n))))
+    return percentile_interval(estimates, level)
 
 
 def percentile_bootstrap_mean(
@@ -159,11 +169,7 @@ def percentile_bootstrap_mean(
 ) -> tuple[float, float]:
     """Percentile bootstrap of the mean of a fixed vector of per-unit values."""
     values = np.asarray(values, dtype=np.float64)
-    means = np.empty(n_boot)
-    for b in range(n_boot):
-        rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{b}"))
-        means[b] = values[rng.integers(0, values.shape[0], values.shape[0])].mean()
-    return percentile_interval(means, level)
+    return percentile_interval(_bootstrap(n_boot, seed, lambda rng: _resample(values, rng).mean()), level)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +350,8 @@ def bootstrap_group_diff_ci(
     groups with replacement (both arms stay populated by construction)."""
     treated_values = np.asarray(treated_values, dtype=np.float64)
     control_values = np.asarray(control_values, dtype=np.float64)
-    diffs = np.empty(n_boot)
-    for b in range(n_boot):
-        rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{b}"))
-        treated = treated_values[rng.integers(0, treated_values.shape[0], treated_values.shape[0])]
-        control = control_values[rng.integers(0, control_values.shape[0], control_values.shape[0])]
-        diffs[b] = treated.mean() - control.mean()
-    return percentile_interval(diffs, level)
+    diff = lambda rng: _resample(treated_values, rng).mean() - _resample(control_values, rng).mean()  # noqa: E731
+    return percentile_interval(_bootstrap(n_boot, seed, diff), level)
 
 
 def _estimate_with_ci(

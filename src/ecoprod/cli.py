@@ -16,9 +16,10 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
-from dataclasses import asdict, dataclass, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,29 +37,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
-DEFAULT_CAUSAL_COVARIATES = (
-    "sentiment",
-    "attention",
-    "cluster_id",
-    "gdp_output",
-    "fiscal_environment",
-    "fiscal_agriculture_forestry",
-    "fiscal_transport",
-)
-
-
-def _threads_cap() -> int:
-    """Upper bound on worker parallelism from ECOPROD_THREADS (>= 1)."""
-    raw = os.environ.get("ECOPROD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"ECOPROD_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError("ECOPROD_THREADS must be >= 1")
-    return value
+UNITS = ("message", "province")
+PRESETS = {"desk": causal_mod.DESK_PRESET, "paper": causal_mod.PAPER_PRESET}
+METHODS = tuple(m.value for m in causal_mod.Method)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -67,45 +48,56 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _read_artifact(path: Path, parsers: dict[str, typing.Callable], keys: list) -> dict:
+    """CSV artifact rows as {first parsed cell: [the other parsed cells]}, one
+    for each of `keys`.  A missing column, a cell its parser rejects, or a
+    repeated or missing key is a ConfigError naming the file, the 1-based
+    line and the column."""
+    first = next(iter(parsers))
+    rows: dict = {}
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        missing = [c for c in parsers if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: line 1: missing column {missing[0]!r}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            values = []
+            for column, parse in parsers.items():
+                try:
+                    values.append(parse(row[column]))
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{where}: bad value {row[column]!r} in column {column!r}") from None
+            if values[0] in rows:
+                raise ConfigError(f"{where}: repeated value {values[0]} in column {first!r}")
+            rows[values[0]] = values[1:]
+    missing = [key for key in keys if key not in rows]
+    if missing:
+        raise ConfigError(f"{path}: no row with {missing[0]} in column {first!r}")
+    return rows
+
+
+def _load_provinces(path: Path) -> tuple[list[ds.ProvinceRecord], ds.ColumnSchema]:
+    """provinces.csv under the schema its header declares."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        schema = ds.infer_schema(next(csv.reader(handle)))
+    return ds.load_provinces(path, schema), schema
+
+
 def _load_scored_provinces(
     provinces_path: Path, scores_path: Path
 ) -> tuple[list[ds.ProvinceRecord], ds.ColumnSchema]:
     """Provinces with eco scores and groups attached from dea_scores.csv."""
-    with provinces_path.open(newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle))
-    schema = ds.infer_schema(header)
-    provinces = ds.load_provinces(provinces_path, schema)
-    scores: dict[int, tuple[float, str]] = {}
-    with scores_path.open(newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            scores[int(row["id"])] = (float(row["theta_vrs"]), row["group"])
-    attached = []
-    for province in provinces:
-        if province.id not in scores:
-            raise ConfigError(f"province {province.id} missing from {scores_path}")
-        theta, group = scores[province.id]
-        attached.append(
-            province.with_score(theta, dea_mod.EcoGroup.HIGH if group == "High" else dea_mod.EcoGroup.LOW)
-        )
-    return attached, schema
+    provinces, schema = _load_provinces(provinces_path)
+    scores = _read_artifact(scores_path, {"id": int, "theta_vrs": float, "group": dea_mod.EcoGroup},
+                            [p.id for p in provinces])
+    return [p.with_score(*scores[p.id]) for p in provinces], schema
 
 
 def _load_clustered_complaints(complaints_path: Path, clusters_path: Path) -> list[ds.ComplaintRecord]:
     complaints = ds.load_complaints(complaints_path)
-    mapping: dict[int, int] = {}
-    with clusters_path.open(newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            mapping[int(row["complaint_id"])] = int(row["cluster"])
-    out = []
-    for complaint in complaints:
-        if complaint.id not in mapping:
-            raise ConfigError(f"complaint {complaint.id} missing from {clusters_path}")
-        out.append(complaint.with_cluster(mapping[complaint.id]))
-    return out
-
-
-def _n_clusters(complaints: list[ds.ComplaintRecord]) -> int:
-    return max(c.cluster_id for c in complaints) + 1
+    clusters = _read_artifact(clusters_path, {"complaint_id": int, "cluster": int}, [c.id for c in complaints])
+    return [c.with_cluster(*clusters[c.id]) for c in complaints]
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +119,7 @@ def stage_synth(spec: ds.SyntheticSpec, out_dir: Path) -> dict:
 
 def stage_dea(provinces_path: Path, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with provinces_path.open(newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle))
-    schema = ds.infer_schema(header)
-    provinces = ds.load_provinces(provinces_path, schema)
+    provinces, _ = _load_provinces(provinces_path)
     panel = dea_mod.DeaPanel(
         inputs=np.column_stack([p.env_inputs for p in provinces]),
         outputs=np.array([[p.gdp_output for p in provinces]]),
@@ -154,12 +143,10 @@ def stage_dea(provinces_path: Path, out_dir: Path) -> dict:
 
 @dataclass(frozen=True)
 class ClusterOptions:
-    k: int | None = None
-    auto_k: bool = True
+    k: int | None = None  # None picks k by the elbow of the wcss curve over 1..k_max
     k_max: int = 12
     permutations: int = 99
     smoothed_p: bool = False
-    row_normalize: bool = True
 
     def __post_init__(self):
         if self.permutations < 1:
@@ -184,9 +171,7 @@ def stage_cluster(
         curve = spectral.wcss_curve(embeddings, options.k_max, derive_seed(seed, "elbow"))
         k = spectral.elbow_from_curve(curve)
         wcss_report = {str(i + 1): float(w) for i, w in enumerate(curve)}
-    assignment, embedded = spectral.spectral_cluster(
-        embeddings, k, derive_seed(seed, "cluster"), row_normalize=options.row_normalize
-    )
+    assignment, embedded = spectral.spectral_cluster(embeddings, k, derive_seed(seed, "cluster"))
     if options.k is not None:
         wcss_report = {str(k): assignment.wcss}
     silhouette = spectral.silhouette_score(embedded, assignment.labels)
@@ -249,7 +234,7 @@ def _assemble_features(
 ) -> tuple[ds.FeatureMatrix, list[ds.ProvinceRecord], list[ds.ComplaintRecord], ds.ColumnSchema]:
     provinces, schema = _load_scored_provinces(provinces_path, scores_path)
     complaints = _load_clustered_complaints(complaints_path, clusters_path)
-    plan = ds.default_feature_plan(schema, n_clusters=_n_clusters(complaints))
+    plan = ds.default_feature_plan(schema, n_clusters=max(c.cluster_id for c in complaints) + 1)
     matrix = ds.build_feature_matrix(provinces, complaints, plan, schema)
     return matrix, provinces, complaints, schema
 
@@ -383,20 +368,29 @@ def stage_explain(
 
 @dataclass(frozen=True)
 class CausalOptions:
-    methods: tuple[str, ...] = ("diffmeans", "s", "t", "x", "r", "cevae")
+    methods: tuple[str, ...] = METHODS
     bootstrap: int = 200
     preset: str = "desk"
-    covariates: tuple[str, ...] = DEFAULT_CAUSAL_COVARIATES
-    epochs: int | None = None
+    covariates: tuple[str, ...] = ("sentiment", "attention", "cluster_id", "gdp_output", "fiscal_environment",
+                                   "fiscal_agriculture_forestry", "fiscal_transport")
+    epochs: int | None = None  # None keeps the preset's epoch count
     base_learner: gbm.TrainConfig = causal_mod.DEFAULT_BASE_CONFIG
-    unit: str = "message"  # message | province
+    unit: str = "message"
 
     def __post_init__(self):
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ConfigError(f"methods has unknown method {unknown[0]!r}; choose from {', '.join(METHODS)}")
         if self.bootstrap != 0 and self.bootstrap < causal_mod.MIN_BOOTSTRAP:
             raise ConfigError(
                 f"bootstrap must be 0 (no intervals) or at least {causal_mod.MIN_BOOTSTRAP}, "
                 f"got {self.bootstrap}"
             )
+        if self.epochs is not None and self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1 or null, got {self.epochs}")
+        for name, allowed in (("preset", tuple(PRESETS)), ("unit", UNITS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
 
 
 def _complaint_covariate(
@@ -477,7 +471,7 @@ def _province_level_estimate(
     elif method == "r":
         effects = causal_mod.r_learner_effects(data, base)
         enum = causal_mod.Method.R
-    elif method == "cevae":
+    else:  # cevae
         model, config = _fit_cevae(data, options, method_seed)
         report["cevae_diagnostics"] = {
             "loss_history": model.loss_history,
@@ -486,8 +480,6 @@ def _province_level_estimate(
         }
         effects = causal_mod.cevae_unit_effects(model, data, config.mc_samples, seed=method_seed)
         enum = causal_mod.Method.CEVAE
-    else:
-        raise ConfigError(f"unknown causal method {method!r}")
 
     by_province = causal_mod.group_mean_effects(effects, province_ids)
     ci_low = ci_high = None
@@ -503,8 +495,7 @@ def _province_level_estimate(
 def _fit_cevae(
     data: causal_mod.CausalDataset, options: CausalOptions, method_seed: int
 ) -> tuple[causal_mod.CevaeModel, causal_mod.CevaeConfig]:
-    preset = causal_mod.DESK_PRESET if options.preset == "desk" else causal_mod.PAPER_PRESET
-    config = replace(preset, seed=method_seed)
+    config = replace(PRESETS[options.preset], seed=method_seed)
     if options.epochs is not None:
         config = replace(config, epochs=options.epochs)
     return causal_mod.cevae_fit(data, config), config
@@ -523,8 +514,6 @@ def stage_causal(
     provinces, schema = _load_scored_provinces(provinces_path, scores_path)
     complaints = _load_clustered_complaints(complaints_path, clusters_path)
     data = build_causal_dataset(provinces, complaints, options.covariates, schema)
-    if options.unit not in ("message", "province"):
-        raise ConfigError(f"unknown analysis unit {options.unit!r}")
     province_ids = np.array([c.province_id for c in complaints])
 
     base = options.base_learner
@@ -545,7 +534,7 @@ def stage_causal(
             estimate = causal_mod.x_learner(data, base, n_boot=options.bootstrap, seed=method_seed)
         elif method == "r":
             estimate = causal_mod.r_learner(data, base, n_boot=options.bootstrap, seed=method_seed)
-        elif method == "cevae":
+        else:  # cevae
             model, config = _fit_cevae(data, options, method_seed)
             estimate = causal_mod.cevae_ate(model, data, n_boot=options.bootstrap, seed=method_seed)
             report["cevae_diagnostics"] = {
@@ -553,8 +542,6 @@ def stage_causal(
                 "preset": options.preset,
                 "epochs": config.epochs,
             }
-        else:
-            raise ConfigError(f"unknown causal method {method!r}")
         report[method] = {
             "ate": estimate.ate,
             "ci_low": estimate.ci_low,
@@ -572,68 +559,93 @@ def stage_causal(
 # Pipeline configuration and orchestration
 
 
+# Sections whose JSON keys are not their class's field names: `train` calls
+# reg_lambda `lambda` and takes its seed from the master seed, and the causal
+# base learner sets four fields only.
+_JSON_KEYS = {
+    "train": {**{k: k for k in ("rounds", "max_depth", "eta", "min_child_cover", "folds")}, "lambda": "reg_lambda"},
+    "causal.base_learner": {k: k for k in ("rounds", "max_depth", "eta", "folds")},
+}
+
+
+def _typed(value, hint, key: str):
+    """`value` if it has the field type `hint`, else a ConfigError naming `key`.
+    Nothing is coerced: a bool is no number and a float field keeps an int.
+    A JSON list stands for a tuple and a string for a path."""
+    optional = typing.get_origin(hint) is types.UnionType  # `X | None`
+    if optional:
+        if value is None:
+            return None
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:  # tuple[str, ...]
+        name = "a list of strings"
+        if type(value) in (list, tuple) and all(type(v) is str for v in value):
+            return tuple(value)
+    elif hint is Path:
+        name = "a string"
+        if type(value) is str:
+            return Path(value)
+    else:
+        name = hint.__name__
+        if type(value) is hint or hint is float and type(value) is int:
+            return value
+    raise ConfigError(f"{key} must be {name}{' or null' if optional else ''}, got {value!r}")
+
+
+def _options(base, raw, section: str, keys: dict[str, str] | None = None):
+    """The dataclass `base` (a class, or an instance standing in for its
+    defaults) with the values of the object `raw`, whose keys map to fields
+    through `keys` (default: each field by its name; nested sections use
+    `_JSON_KEYS`).  An unknown key, a mistyped value, a missing required key
+    or a value the class's checks reject (worded "<field> ...") is a
+    ConfigError naming the dotted key."""
+    dotted = lambda key: f"{section}.{key}" if section else key  # noqa: E731
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section or 'config'} must be an object, got {raw!r}")
+    cls = base if isinstance(base, type) else type(base)
+    keys = keys or {f.name: f.name for f in fields(cls)}
+    hints = typing.get_type_hints(cls)
+    values = {f.name: getattr(base, f.name) for f in fields(cls) if hasattr(base, f.name)}
+    for key, value in raw.items():
+        if key not in keys:
+            raise ConfigError(f"unknown config key {dotted(key)}")
+        name = keys[key]
+        if is_dataclass(hints[name]):
+            values[name] = _options(values.get(name, hints[name]), value, dotted(key), _JSON_KEYS.get(dotted(key)))
+        else:
+            values[name] = _typed(value, hints[name], dotted(key))
+    missing = [key for key, name in keys.items() if name not in values]
+    if missing:
+        raise ConfigError(f"missing config key {dotted(missing[0])}")
+    try:
+        return cls(**values)
+    except EcoprodError as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{dotted(next((k for k, f in keys.items() if f == name), name))} {rest}") from None
+
+
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineInputs:
     provinces: Path
     complaints: Path
-    out_dir: Path
-    seed: int
-    cluster: ClusterOptions
-    train: gbm.TrainConfig
-    causal: CausalOptions
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    inputs: PipelineInputs
+    out_dir: Path = Path("artifacts")
+    seed: int = 0
+    cluster: ClusterOptions = ClusterOptions()
+    train: gbm.TrainConfig = gbm.TrainConfig()
+    causal: CausalOptions = CausalOptions()
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path) -> "PipelineConfig":
-        try:
-            inputs = raw["inputs"]
-            provinces = base_dir / inputs["provinces"]
-            complaints = base_dir / inputs["complaints"]
-        except KeyError as exc:
-            raise ConfigError(f"config missing key {exc.args[0]!r}") from None
-        for path in (provinces, complaints):
-            if not path.exists():
-                raise ConfigError(f"input file does not exist: {path}")
-        cluster_raw = dict(raw.get("cluster", {}))
-        cluster = ClusterOptions(
-            k=cluster_raw.get("k"),
-            auto_k=cluster_raw.get("k") is None,
-            k_max=cluster_raw.get("k_max", 12),
-            permutations=cluster_raw.get("permutations", 99),
-            smoothed_p=cluster_raw.get("smoothed_p", False),
-        )
-        train_raw = dict(raw.get("train", {}))
-        train = gbm.TrainConfig(
-            rounds=train_raw.get("rounds", 100),
-            max_depth=train_raw.get("max_depth", 4),
-            eta=train_raw.get("eta", 0.3),
-            reg_lambda=train_raw.get("lambda", 1.0),
-            min_child_cover=train_raw.get("min_child_cover", 1.0),
-            folds=train_raw.get("folds", 5),
-        )
-        causal_raw = dict(raw.get("causal", {}))
-        base_raw = dict(causal_raw.get("base_learner", {}))
-        base = replace(
-            causal_mod.DEFAULT_BASE_CONFIG,
-            **{k: base_raw[k] for k in ("rounds", "max_depth", "eta", "folds") if k in base_raw},
-        )
-        causal = CausalOptions(
-            methods=tuple(causal_raw.get("methods", ("diffmeans", "s", "t", "x", "r", "cevae"))),
-            bootstrap=causal_raw.get("bootstrap", 200),
-            preset=causal_raw.get("preset", "desk"),
-            covariates=tuple(causal_raw.get("covariates", DEFAULT_CAUSAL_COVARIATES)),
-            epochs=causal_raw.get("epochs"),
-            base_learner=base,
-            unit=causal_raw.get("unit", "message"),
-        )
-        return cls(
-            provinces=provinces,
-            complaints=complaints,
-            out_dir=base_dir / raw.get("out_dir", "artifacts"),
-            seed=int(raw.get("seed", 0)),
-            cluster=cluster,
-            train=train,
-            causal=causal,
-        )
+        """The config object; its paths are relative to `base_dir`."""
+        config = _options(cls, raw, "")
+        paths = (config.inputs.provinces, config.inputs.complaints)
+        inputs = PipelineInputs(*(_require_file(base_dir / p) for p in paths))
+        return replace(config, inputs=inputs, out_dir=base_dir / config.out_dir)
 
 
 def _set_override(raw: dict, assignment: str) -> None:
@@ -662,39 +674,40 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if failed_marker.exists():
         failed_marker.unlink()
 
+    provinces, complaints = config.inputs.provinces, config.inputs.complaints
     summary: dict = {
         "seed": config.seed,
-        "inputs": {"provinces": config.provinces.name, "complaints": config.complaints.name},
+        "inputs": {"provinces": provinces.name, "complaints": complaints.name},
         "stages": {},
     }
     stage = "dea"
     try:
-        summary["stages"]["dea"] = stage_dea(config.provinces, out)
+        summary["stages"]["dea"] = stage_dea(provinces, out)
 
         stage = "cluster"
-        provinces, _ = _load_scored_provinces(config.provinces, out / "dea_scores.csv")
-        groups = {p.id: p.eco_group for p in provinces}
+        scored, _ = _load_scored_provinces(provinces, out / "dea_scores.csv")
+        groups = {p.id: p.eco_group for p in scored}
         summary["stages"]["cluster"] = stage_cluster(
-            config.complaints, config.cluster, derive_seed(config.seed, "cluster"), out,
+            complaints, config.cluster, derive_seed(config.seed, "cluster"), out,
             province_groups=groups,
         )
 
         stage = "train"
         train_config = replace(config.train, seed=derive_seed(config.seed, "train"))
         summary["stages"]["train"] = stage_train(
-            config.provinces, config.complaints, out / "dea_scores.csv", out / "clusters.csv",
+            provinces, complaints, out / "dea_scores.csv", out / "clusters.csv",
             train_config, out,
         )
 
         stage = "explain"
         summary["stages"]["explain"] = stage_explain(
-            out / "model.json", config.provinces, config.complaints,
+            out / "model.json", provinces, complaints,
             out / "dea_scores.csv", out / "clusters.csv", out,
         )
 
         stage = "causal"
         summary["stages"]["causal"] = stage_causal(
-            config.provinces, config.complaints, out / "dea_scores.csv", out / "clusters.csv",
+            provinces, complaints, out / "dea_scores.csv", out / "clusters.csv",
             config.causal, derive_seed(config.seed, "causal"), out,
         )
     except EcoprodError as exc:
@@ -736,16 +749,16 @@ def _build_parser() -> argparse.ArgumentParser:
     dea_cmd.add_argument("--provinces", required=True)
     dea_cmd.add_argument("--out", required=True)
 
+    # Flags of the option sets default to None, so only what the user sets
+    # reaches `_options`; the defaults live in the dataclasses.
     cluster_cmd = sub.add_parser("cluster", help="spectral-cluster complaints")
     cluster_cmd.add_argument("--complaints", required=True)
     cluster_cmd.add_argument("--out", required=True)
-    group = cluster_cmd.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int)
-    group.add_argument("--auto-k", action="store_true", default=True)
-    cluster_cmd.add_argument("--kmax", type=int, default=12)
-    cluster_cmd.add_argument("--permutations", type=int, default=99)
+    cluster_cmd.add_argument("--k", type=int, help="fixed cluster count (default: elbow of the wcss curve)")
+    cluster_cmd.add_argument("--kmax", dest="k_max", type=int)
+    cluster_cmd.add_argument("--permutations", type=int)
     cluster_cmd.add_argument("--seed", type=int, default=0)
-    cluster_cmd.add_argument("--smoothed-p", action="store_true")
+    cluster_cmd.add_argument("--smoothed-p", action="store_true", default=None)
     cluster_cmd.add_argument("--provinces", help="optional, for centroid shifts")
     cluster_cmd.add_argument("--dea-scores", help="optional, for centroid shifts")
 
@@ -758,30 +771,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train_cmd = sub.add_parser("train", help="train the co-production classifier")
     add_feature_inputs(train_cmd)
-    train_cmd.add_argument("--rounds", type=int, default=100)
-    train_cmd.add_argument("--max-depth", type=int, default=4)
-    train_cmd.add_argument("--eta", type=float, default=0.3)
-    train_cmd.add_argument("--lambda", dest="reg_lambda", type=float, default=1.0)
-    train_cmd.add_argument("--folds", type=int, default=5)
-    train_cmd.add_argument("--seed", type=int, default=0)
+    train_cmd.add_argument("--rounds", type=int)
+    train_cmd.add_argument("--max-depth", type=int)
+    train_cmd.add_argument("--eta", type=float)
+    train_cmd.add_argument("--lambda", dest="reg_lambda", type=float)
+    train_cmd.add_argument("--folds", type=int)
+    train_cmd.add_argument("--seed", type=int)
 
     explain_cmd = sub.add_parser("explain", help="attribution summaries for a trained model")
     add_feature_inputs(explain_cmd)
     explain_cmd.add_argument("--model", required=True)
     explain_cmd.add_argument("--archetype-input", choices=("probs", "shap"), default="probs")
 
+    def comma_list(raw: str) -> tuple[str, ...]:
+        return tuple(item.strip() for item in raw.split(","))
+
     causal_cmd = sub.add_parser("causal", help="treatment-effect estimates")
     add_feature_inputs(causal_cmd)
     causal_cmd.add_argument(
-        "--method", default="all",
-        help="comma list of cevae,s,t,x,r,diffmeans or 'all'",
+        "--method", dest="methods", type=lambda raw: None if raw == "all" else comma_list(raw),
+        help=f"comma list of {','.join(METHODS)} or 'all'",
     )
-    causal_cmd.add_argument("--bootstrap", type=int, default=200)
+    causal_cmd.add_argument("--bootstrap", type=int)
     causal_cmd.add_argument("--seed", type=int, default=0)
-    causal_cmd.add_argument("--preset", choices=("desk", "paper"), default="desk")
+    causal_cmd.add_argument("--preset", choices=tuple(PRESETS))
     causal_cmd.add_argument("--epochs", type=int)
-    causal_cmd.add_argument("--covariates", help="comma list of covariate names")
-    causal_cmd.add_argument("--unit", choices=("message", "province"), default="message")
+    causal_cmd.add_argument("--covariates", type=comma_list, help="comma list of covariate names")
+    causal_cmd.add_argument("--unit", choices=UNITS)
 
     pipeline_cmd = sub.add_parser("pipeline", help="run every stage from a JSON config")
     pipeline_cmd.add_argument("--config", required=True)
@@ -795,6 +811,11 @@ def _require_file(raw: str) -> Path:
     if not path.exists():
         raise ConfigError(f"input file does not exist: {path}")
     return path
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The flags among `names` that were set on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -820,13 +841,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "cluster":
-        options = ClusterOptions(
-            k=args.k,
-            auto_k=args.k is None,
-            k_max=args.kmax,
-            permutations=args.permutations,
-            smoothed_p=args.smoothed_p,
-        )
+        options = _options(ClusterOptions, _given(args, "k", "k_max", "permutations", "smoothed_p"), "cluster")
         groups = None
         if args.dea_scores:
             if not args.provinces:
@@ -840,9 +855,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "train":
-        config = gbm.TrainConfig(
-            rounds=args.rounds, max_depth=args.max_depth, eta=args.eta,
-            reg_lambda=args.reg_lambda, folds=args.folds, seed=args.seed,
+        config = _options(
+            gbm.TrainConfig,
+            _given(args, "rounds", "max_depth", "eta", "reg_lambda", "folds", "seed"),
+            "train",
         )
         stage_train(
             _require_file(args.provinces), _require_file(args.complaints),
@@ -861,22 +877,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "causal":
-        methods = (
-            ("diffmeans", "s", "t", "x", "r", "cevae")
-            if args.method == "all"
-            else tuple(m.strip() for m in args.method.split(","))
-        )
-        options = CausalOptions(
-            methods=methods,
-            bootstrap=args.bootstrap,
-            preset=args.preset,
-            epochs=args.epochs,
-            covariates=(
-                tuple(c.strip() for c in args.covariates.split(","))
-                if args.covariates
-                else DEFAULT_CAUSAL_COVARIATES
-            ),
-            unit=args.unit,
+        options = _options(
+            CausalOptions,
+            _given(args, "methods", "bootstrap", "preset", "epochs", "covariates", "unit"),
+            "causal",
         )
         stage_causal(
             _require_file(args.provinces), _require_file(args.complaints),
@@ -908,7 +912,6 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        _threads_cap()  # validate the env cap up front
         return _dispatch(args)
     except ConfigError as exc:
         print(f"ecoprod: configuration error: {exc}", file=sys.stderr)

@@ -329,11 +329,11 @@ def train_regressor(
         feature_names = tuple(f"f{j}" for j in range(x_matrix.shape[1]))
     n = x_matrix.shape[0]
     weights = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    if weights.shape != (n,) or np.any(weights < 0) or not np.all(np.isfinite(weights)):
-        raise TrainingError("sample weights must be finite and non-negative")
+    if weights.shape != (n,) or np.any(weights < 0) or not np.all(np.isfinite(weights)) or not weights.sum():
+        raise TrainingError("sample weights must be finite and non-negative with a positive sum")
 
     model = BoostedModel(
-        trees=[], eta=config.eta, base_score=float(np.average(y, weights=weights) if weights.sum() else 0.0),
+        trees=[], eta=config.eta, base_score=float(np.average(y, weights=weights)),
         feature_names=tuple(feature_names), objective="squared",
     )
     rows = np.arange(n)

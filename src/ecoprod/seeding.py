@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 _MASK_63 = (1 << 63) - 1
 
 
@@ -23,7 +21,3 @@ def derive_seed(master: int, label: str) -> int:
     digest = hashlib.sha256(f"{master}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & _MASK_63
 
-
-def rng_for(master: int, label: str) -> np.random.Generator:
-    """Generator seeded with `derive_seed(master, label)`."""
-    return np.random.default_rng(derive_seed(master, label))

@@ -236,14 +236,13 @@ def spectral_cluster(
     k: int,
     seed: int,
     restarts: int = DEFAULT_RESTARTS,
-    row_normalize: bool = True,
 ) -> tuple[ClusterAssignment, np.ndarray]:
     """Full pipeline: similarity -> Laplacian -> embed -> k-means.
 
     Returns the assignment and the spectral embedding it was computed on.
     """
     lap = normalized_laplacian(similarity(embeddings))
-    embedded = spectral_embed(lap, k, row_normalize=row_normalize)
+    embedded = spectral_embed(lap, k)
     return best_kmeans(embedded, k, seed, restarts=restarts), embedded
 
 

@@ -74,11 +74,19 @@ def test_bootstrap_counts_failures():
     def flaky(d):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
-            raise ValueError("boom")
+            raise CausalError("boom")
         return 0.0
 
     with pytest.raises(BootstrapError):
         causal.bootstrap_ci(flaky, data, n_boot=60, seed=6)
+
+
+def test_bootstrap_lets_a_bug_propagate():
+    def buggy(d):
+        raise TypeError("not a data-driven failure")
+
+    with pytest.raises(TypeError):
+        causal.bootstrap_ci(buggy, randomized_data(n=60, seed=5), n_boot=60, seed=6)
 
 
 def test_bootstrap_requires_fifty_replicates():

@@ -197,15 +197,6 @@ def test_causal_province_unit_mode(fixture_dir, tmp_path):
         assert estimate["ci_low"] <= estimate["ci_high"]
 
 
-def test_threads_env_is_validated(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("ECOPROD_THREADS", "zero")
-    rc = cli.main(["synth", "--out", str(tmp_path / "x"), "--seed", "1",
-                   "--provinces", "3", "--complaints", "5", "--clusters", "2",
-                   "--embedding-dim", "4"])
-    assert rc == 2
-    assert "ECOPROD_THREADS" in capsys.readouterr().err
-
-
 def causal_args(fixture_dir, out, *extra):
     return [
         "causal", "--provinces", str(fixture_dir / "provinces.csv"),
@@ -250,3 +241,89 @@ def test_zero_permutations_exits_2(fixture_dir, tmp_path, capsys):
     assert rc == 2
     assert "permutations" in capsys.readouterr().err
     assert not (tmp_path / "zero_perm").exists()
+
+
+def set_key(raw, dotted, value):
+    *path, last = dotted.split(".")
+    for key in path:
+        raw = raw.setdefault(key, {})
+    raw[last] = value
+
+
+CONFIG_ERRORS = [
+    ("train.rounds", "ten"),
+    ("causal.bootstrap", "50"),
+    ("cluster.k_max", "6"),
+    ("seed", 1.7),
+    ("clustr", {"k_max": 6}),
+    ("train.max_dpth", 3),
+    ("causal.base_learner.lambda", 1.0),
+    ("causal.unit", "provinc"),
+    ("causal.methods", ["diffmeans", "s", "tt"]),
+    ("causal.methods", "diffmeans"),
+    ("causal.preset", "dsek"),
+    ("causal.epochs", 0),
+]
+
+
+@pytest.mark.parametrize("via_set", [False, True], ids=["file", "set"])
+@pytest.mark.parametrize("key,value", CONFIG_ERRORS, ids=[f"{k}={v!r}" for k, v in CONFIG_ERRORS])
+def test_config_error_exits_2_before_any_stage(fixture_dir, tmp_path, capsys, key, value, via_set):
+    config = small_config("bad_run")
+    config["inputs"] = {"provinces": str(fixture_dir / "provinces.csv"),
+                        "complaints": str(fixture_dir / "complaints.jsonl")}
+    overrides = []
+    if via_set:
+        overrides = ["--set", f"{key}={json.dumps(value)}"]
+    else:
+        set_key(config, key, value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = cli.main(["pipeline", "--config", str(path), *overrides])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "bad_run").exists()
+
+
+def test_unknown_causal_method_flag_exits_2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "bogus"
+    rc = cli.main(causal_args(fixture_dir, out, "--method", "diffmeans,cevae,bogus"))
+    assert rc == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def drop_column(lines, column):
+    index = lines[0].split(",").index(column)
+    return [",".join(c for i, c in enumerate(line.split(",")) if i != index) for line in lines]
+
+
+ARTIFACT_FAULTS = {
+    # name: (file, edit of its lines, 1-based line, column named)
+    "missing-column": ("dea_scores.csv", lambda lines: drop_column(lines, "theta_vrs"), 1, "theta_vrs"),
+    "bad-id": ("clusters.csv", lambda lines: [*lines[:6], "x7," + lines[6].split(",")[1], *lines[7:]],
+               7, "complaint_id"),
+    "repeated-row": ("dea_scores.csv", lambda lines: [*lines, lines[3]], 16, "id"),
+    "unknown-group": ("dea_scores.csv", lambda lines: [*lines[:4], lines[4].rsplit(",", 1)[0] + ",Medium",
+                                                      *lines[5:]], 5, "group"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ARTIFACT_FAULTS))
+def test_bad_artifact_exits_2_naming_file_line_and_column(fixture_dir, tmp_path, capsys, fault):
+    name, edit, line, column = ARTIFACT_FAULTS[fault]
+    for artifact in ("dea_scores.csv", "clusters.csv"):
+        lines = (fixture_dir / "run_a" / artifact).read_text().splitlines()
+        if artifact == name:
+            lines = edit(lines)
+        (tmp_path / artifact).write_text("\n".join(lines) + "\n")
+    rc = cli.main([
+        "causal", "--provinces", str(fixture_dir / "provinces.csv"),
+        "--complaints", str(fixture_dir / "complaints.jsonl"),
+        "--dea-scores", str(tmp_path / "dea_scores.csv"), "--clusters", str(tmp_path / "clusters.csv"),
+        "--out", str(tmp_path / "out"), "--method", "diffmeans", "--bootstrap", "0",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err and f"line {line}:" in err and f"'{column}'" in err
+    assert not (tmp_path / "out" / "ate_report.json").exists()

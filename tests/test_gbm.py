@@ -174,6 +174,13 @@ def test_regressor_fits_smooth_target():
     assert float(np.mean((preds - y) ** 2)) < 0.05
 
 
+def test_regressor_rejects_zero_total_weight():
+    x = np.arange(6.0)[:, None]
+    with pytest.raises(TrainingError):
+        gbm.train_regressor(x, np.arange(6.0), gbm.TrainConfig(rounds=1, reg_lambda=0.0),
+                            sample_weight=np.zeros(6))
+
+
 def test_cross_validation_separable_data():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((300, 4))
