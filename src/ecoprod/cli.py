@@ -28,7 +28,7 @@ from . import causal as causal_mod
 from . import dataset as ds
 from . import dea as dea_mod
 from . import gbm, spectral, svg, treeshap
-from .errors import ConfigError, DatasetError, EcoprodError, PipelineStageError
+from .errors import ConfigError, DatasetError, EcoprodError, IngestionError, PipelineStageError
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -77,11 +77,32 @@ def _read_artifact(path: Path, parsers: dict[str, typing.Callable], keys: list) 
     return rows
 
 
+def _province_schema(path: Path) -> ds.ColumnSchema:
+    """The schema the header of provinces.csv declares; reads the header only."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        header = next(csv.reader(handle), [])
+    try:
+        return ds.infer_schema(header)
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+
+
 def _load_provinces(path: Path) -> tuple[list[ds.ProvinceRecord], ds.ColumnSchema]:
     """provinces.csv under the schema its header declares."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        schema = ds.infer_schema(next(csv.reader(handle)))
+    schema = _province_schema(path)
     return ds.load_provinces(path, schema), schema
+
+
+def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None:
+    """A ConfigError naming causal.covariates for a name that neither a
+    complaint nor the header of provinces.csv supplies."""
+    known = (*COMPLAINT_COVARIATES, *ds.province_feature_names(_province_schema(provinces_path)))
+    unknown = [name for name in covariates if name not in known]
+    if unknown:
+        raise ConfigError(
+            f"causal.covariates has unknown name {unknown[0]!r}; the complaints and the header "
+            f"of {provinces_path.name} give {', '.join(known)}"
+        )
 
 
 def _load_scored_provinces(
@@ -149,6 +170,10 @@ class ClusterOptions:
     smoothed_p: bool = False
 
     def __post_init__(self):
+        if self.k is not None and self.k < 1:
+            raise ConfigError(f"k must be >= 1 or null, got {self.k}")
+        if self.k_max < 3:  # the elbow needs a point on each side of its k
+            raise ConfigError(f"k_max must be >= 3, got {self.k_max}")
         if self.permutations < 1:
             raise ConfigError(f"permutations must be >= 1, got {self.permutations}")
 
@@ -348,11 +373,11 @@ def stage_explain(
         rows = np.array([cm.province_id in members for cm in complaints])
         if rows.sum() < 2:
             continue
-        sub = treeshap.shap_summary(model, matrix.rows[rows])
+        sub = treeshap.ShapSummary.of(summary.phi[rows], matrix.rows[rows], summary.feature_names)
         name = f"shap_archetype_{c}.svg"
         (out_dir / name).write_text(
             svg.beeswarm_svg(
-                list(matrix.columns), sub.phi, matrix.rows[rows], list(sub.order),
+                list(matrix.columns), sub.phi, sub.values, list(sub.order),
                 title=f"Archetype {c} attributions",
             ),
             encoding="utf-8",
@@ -391,6 +416,9 @@ class CausalOptions:
         for name, allowed in (("preset", tuple(PRESETS)), ("unit", UNITS)):
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
+
+
+COMPLAINT_COVARIATES = ("sentiment", "attention", "cluster_id")
 
 
 def _complaint_covariate(
@@ -645,6 +673,7 @@ class PipelineConfig:
         config = _options(cls, raw, "")
         paths = (config.inputs.provinces, config.inputs.complaints)
         inputs = PipelineInputs(*(_require_file(base_dir / p) for p in paths))
+        _check_covariates(config.causal.covariates, inputs.provinces)
         return replace(config, inputs=inputs, out_dir=base_dir / config.out_dir)
 
 
@@ -882,6 +911,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             _given(args, "methods", "bootstrap", "preset", "epochs", "covariates", "unit"),
             "causal",
         )
+        _check_covariates(options.covariates, _require_file(args.provinces))
         stage_causal(
             _require_file(args.provinces), _require_file(args.complaints),
             _require_file(args.dea_scores), _require_file(args.clusters),

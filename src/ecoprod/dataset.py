@@ -232,11 +232,57 @@ def write_provinces(path: str | Path, records: list[ProvinceRecord], schema: Col
             )
 
 
+_COMPLAINT_KEYS = ("id", "province_id", "embedding", "sentiment", "attention", "label")
+
+
+def _finite_number(value) -> bool:
+    """A JSON number (not a bool) that is neither NaN nor infinite."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _finite_vector(value) -> np.ndarray | None:
+    """A JSON list of numbers (not bools), none NaN or infinite, as float64;
+    None for anything else."""
+    if type(value) is not list or not set(map(type, value)) <= {int, float}:
+        return None
+    try:
+        vector = np.asarray(value, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return vector if np.all(np.isfinite(vector)) else None
+
+
+def _complaint_fields(obj, where: str) -> tuple[int, int, np.ndarray, float, int, int]:
+    """The six fields of one complaints.jsonl record, each of its declared
+    type; anything else is an IngestionError naming `where` and the field."""
+    if not isinstance(obj, dict):
+        raise IngestionError(f"{where}: expected a JSON object")
+    missing = [key for key in _COMPLAINT_KEYS if key not in obj]
+    if missing:
+        raise IngestionError(f"{where}: missing key {missing[0]!r}")
+    for key in ("id", "province_id"):
+        if type(obj[key]) is not int:
+            raise IngestionError(f"{where}: field {key!r} must be an integer, got {obj[key]!r}")
+    for key in ("attention", "label"):
+        if type(obj[key]) is not int or obj[key] not in (0, 1):
+            raise IngestionError(f"{where}: field {key!r} must be the integer 0 or 1, got {obj[key]!r}")
+    if not _finite_number(obj["sentiment"]):
+        raise IngestionError(f"{where}: field 'sentiment' must be a finite number, got {obj['sentiment']!r}")
+    embedding = _finite_vector(obj["embedding"])
+    if embedding is None:
+        raise IngestionError(f"{where}: field 'embedding' must be a list of finite numbers")
+    return obj["id"], obj["province_id"], embedding, float(obj["sentiment"]), obj["attention"], obj["label"]
+
+
 def load_complaints(path: str | Path, embedding_dim: int | None = None) -> list[ComplaintRecord]:
     """Read `complaints.jsonl`.
 
     The embedding dimension is declared by the first record unless given
-    explicitly; every later record must match it.
+    explicitly; every later record must match it.  Errors name the file,
+    the 1-based line and the field.
     """
     path = Path(path)
     if not path.exists():
@@ -247,26 +293,17 @@ def load_complaints(path: str | Path, embedding_dim: int | None = None) -> list[
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {line_number}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise IngestionError(f"line {line_number}: invalid JSON ({exc.msg})") from None
-            try:
-                label_value = obj["label"]
-                embedding = np.asarray(obj["embedding"], dtype=np.float64)
-                record_id = int(obj["id"])
-                province_id = int(obj["province_id"])
-                sentiment = float(obj["sentiment"])
-                attention = int(obj["attention"])
-            except KeyError as exc:
-                raise IngestionError(f"line {line_number}: missing key {exc.args[0]!r}") from None
-            if label_value not in (0, 1):
-                raise IngestionError(f"line {line_number}: unknown label value {label_value!r}")
+                raise IngestionError(f"{where}: invalid JSON ({exc.msg})") from None
+            record_id, province_id, embedding, sentiment, attention, label = _complaint_fields(obj, where)
             if embedding_dim is None:
                 embedding_dim = embedding.shape[0]
             if embedding.shape != (embedding_dim,):
                 raise IngestionError(
-                    f"line {line_number}: embedding length {embedding.shape[0]} "
+                    f"{where}: embedding length {embedding.shape[0]} "
                     f"does not match declared dimension {embedding_dim}"
                 )
             records.append(
@@ -276,9 +313,7 @@ def load_complaints(path: str | Path, embedding_dim: int | None = None) -> list[
                     embedding=embedding,
                     sentiment=sentiment,
                     attention=attention,
-                    response_label=(
-                        ResponseLabel.CO_PRODUCTION if label_value == 1 else ResponseLabel.ONE_WAY
-                    ),
+                    response_label=ResponseLabel(label),
                 )
             )
     return records
@@ -365,6 +400,11 @@ class FeatureMatrix:
             return self.columns.index(name)
         except ValueError:
             raise FeatureError(f"no feature named {name!r}") from None
+
+
+def province_feature_names(schema: ColumnSchema) -> tuple[str, ...]:
+    """Every name `province_feature` resolves under `schema`."""
+    return ("eco_efficiency", "gdp_output", *schema.env_columns, *schema.fiscal_columns)
 
 
 def province_feature(province: ProvinceRecord, name: str, schema: ColumnSchema) -> float:

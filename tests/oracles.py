@@ -2,9 +2,10 @@
 
 Nothing here may call into the implementation paths under test: the LP
 oracle enumerates basic solutions directly, the Shapley oracle enumerates
-feature subsets, the boosting oracle sorts every feature at every node and
-refits by walking each finished tree, and the clustering metrics are
-computed from first principles.
+feature subsets, the exact TreeSHAP oracle runs the per-row recursion that
+the leaf tables replace, the boosting oracle sorts every feature at every
+node and refits by walking each finished tree, and the clustering metrics
+are computed from first principles.
 """
 
 from __future__ import annotations
@@ -149,6 +150,72 @@ def brute_force_shapley(model, x_row: np.ndarray) -> np.ndarray:
                         - tree_conditional_expectation(tree, x_row, without)
                     )
     return model.eta * phi
+
+
+def _reference_extend(path, zero_fraction, one_fraction, feature):
+    path = [entry.copy() for entry in path]
+    depth = len(path)
+    path.append([feature, zero_fraction, one_fraction, 1.0 if depth == 0 else 0.0])
+    for i in range(depth - 1, -1, -1):
+        path[i + 1][3] += one_fraction * path[i][3] * (i + 1) / (depth + 1)
+        path[i][3] = zero_fraction * path[i][3] * (depth - i) / (depth + 1)
+    return path
+
+
+def _reference_unwind(path, index):
+    length = len(path)
+    one_fraction = path[index][2]
+    zero_fraction = path[index][1]
+    running = path[length - 1][3]
+    weights = [entry[3] for entry in path]
+    for j in range(length - 2, -1, -1):
+        if one_fraction != 0.0:
+            kept = weights[j]
+            weights[j] = running * length / ((j + 1) * one_fraction)
+            running = kept - weights[j] * zero_fraction * (length - 1 - j) / length
+        else:
+            weights[j] = weights[j] * length / (zero_fraction * (length - 1 - j))
+    out = []
+    for j in range(length - 1):
+        source = path[j] if j < index else path[j + 1]
+        out.append([source[0], source[1], source[2], weights[j]])
+    return out
+
+
+def _reference_recurse(node, x_row, phi, path, zero_fraction, one_fraction, feature):
+    """One row's walk of one tree, hot child first; a path entry is
+    [feature, zero_fraction, one_fraction, weight]."""
+    path = _reference_extend(path, zero_fraction, one_fraction, feature)
+    if node.is_leaf:
+        for i in range(1, len(path)):
+            weight = sum(entry[3] for entry in _reference_unwind(path, i))
+            phi[path[i][0]] += weight * (path[i][2] - path[i][1]) * node.weight
+        return
+    hot, cold = (node.left, node.right) if x_row[node.feature] < node.threshold else (node.right, node.left)
+    incoming_zero = 1.0
+    incoming_one = 1.0
+    for k, entry in enumerate(path):
+        if entry[0] == node.feature:
+            incoming_zero, incoming_one = entry[1], entry[2]
+            path = _reference_unwind(path, k)
+            break
+    _reference_recurse(hot, x_row, phi, path, incoming_zero * hot.cover / node.cover, incoming_one, node.feature)
+    _reference_recurse(cold, x_row, phi, path, incoming_zero * cold.cover / node.cover, 0.0, node.feature)
+
+
+def reference_tree_shap(model, x_matrix: np.ndarray) -> np.ndarray:
+    """Path-dependent TreeSHAP by the per-row recursion (Lundberg et al.,
+    Nature Machine Intelligence 2020, Alg. 2), row by row and tree by tree:
+    the exact float operations, in the exact order, that `tree_shap` must
+    reproduce."""
+    x_matrix = np.atleast_2d(np.asarray(x_matrix, dtype=np.float64))
+    phi = np.zeros((x_matrix.shape[0], model.n_features))
+    for i in range(x_matrix.shape[0]):
+        row_phi = np.zeros(model.n_features)
+        for tree in model.trees:
+            _reference_recurse(tree, x_matrix[i], row_phi, [], 1.0, 1.0, -1)
+        phi[i] = model.eta * row_phi
+    return phi
 
 
 def _reference_split(x, rows, g, h, cover, reg_lambda, min_child_cover):

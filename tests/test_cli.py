@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ecoprod import cli
+from ecoprod import cli, treeshap
 from ecoprod.seeding import derive_seed
 
 
@@ -263,6 +263,9 @@ CONFIG_ERRORS = [
     ("causal.methods", "diffmeans"),
     ("causal.preset", "dsek"),
     ("causal.epochs", 0),
+    ("cluster.k", 0),
+    ("cluster.k_max", 2),
+    ("causal.covariates", ["sentiment", "bogus"]),
 ]
 
 
@@ -283,6 +286,47 @@ def test_config_error_exits_2_before_any_stage(fixture_dir, tmp_path, capsys, ke
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "bad_run").exists()
+
+
+@pytest.mark.parametrize("flag,value,key", [("--k", "0", "cluster.k"), ("--kmax", "2", "cluster.k_max")])
+def test_cluster_count_flag_out_of_range_exits_2(fixture_dir, tmp_path, capsys, flag, value, key):
+    out = tmp_path / "cluster"
+    rc = cli.main(["cluster", "--complaints", str(fixture_dir / "complaints.jsonl"), "--out", str(out), flag, value])
+    assert rc == 2
+    assert f"{key} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_covariate_flag_exits_2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "bogus"
+    rc = cli.main(causal_args(fixture_dir, out, "--covariates", "sentiment,bogus"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "causal.covariates" in err and "'bogus'" in err
+    assert not out.exists()
+
+
+def test_explain_attributes_every_row_once(fixture_dir, tmp_path, monkeypatch):
+    # perfbench/tracing.py times and counts TreeSHAP by wrapping the module
+    # attribute treeshap.tree_shap, so explain must reach it through that
+    # name, once, with every row; the archetype beeswarms reuse its phi.
+    calls = []
+    original = treeshap.tree_shap
+
+    def counting(model, x_matrix):
+        calls.append(x_matrix.shape[0])
+        return original(model, x_matrix)
+
+    monkeypatch.setattr(treeshap, "tree_shap", counting)
+    run = fixture_dir / "run_a"
+    summary = cli.stage_explain(
+        run / "model.json", fixture_dir / "provinces.csv", fixture_dir / "complaints.jsonl",
+        run / "dea_scores.csv", run / "clusters.csv", tmp_path,
+    )
+    assert calls == [160]
+    assert any(name.startswith("shap_archetype_") for name in summary["artifacts"])
+    for name in summary["artifacts"]:
+        assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_unknown_causal_method_flag_exits_2(fixture_dir, tmp_path, capsys):

@@ -103,6 +103,41 @@ def test_load_complaints_unknown_label(tmp_path):
         ds.load_complaints(path)
 
 
+BAD_COMPLAINT_FIELDS = [
+    # (field, its value as written in the file)
+    ("id", '"x7"'),
+    ("id", "true"),
+    ("id", "7.0"),
+    ("province_id", "null"),
+    ("attention", "0.7"),
+    ("attention", "true"),
+    ("attention", "2"),
+    ("label", "true"),
+    ("label", "1.0"),
+    ("sentiment", "NaN"),
+    ("sentiment", "-Infinity"),
+    ("sentiment", '"0.3"'),
+    ("sentiment", "false"),
+    ("embedding", "[0.1, Infinity]"),
+    ("embedding", "[0.1, true]"),
+    ("embedding", '[0.1, "0.2"]'),
+    ("embedding", '"0.1,0.2"'),
+    ("embedding", "[1e400, 0.2]"),
+]
+
+
+@pytest.mark.parametrize("field,raw", BAD_COMPLAINT_FIELDS, ids=[f"{f}={r}" for f, r in BAD_COMPLAINT_FIELDS])
+def test_load_complaints_rejects_mistyped_field_naming_file_line_and_field(tmp_path, field, raw):
+    good = {"id": 1, "province_id": 1, "embedding": [0.1, 0.2], "sentiment": 0.3,
+            "attention": 0, "label": 1}
+    bad = json.dumps({**good, "id": 2, field: "RAW"}).replace('"RAW"', raw)
+    path = write(tmp_path, json.dumps(good) + "\n" + bad + "\n", "complaints.jsonl")
+    with pytest.raises(IngestionError) as caught:
+        ds.load_complaints(path)
+    message = str(caught.value)
+    assert str(path) in message and "line 2:" in message and f"'{field}'" in message
+
+
 def test_complaint_round_trip_is_exact(tmp_path):
     records = [
         ds.ComplaintRecord(

@@ -3,7 +3,7 @@ import pytest
 
 from ecoprod import gbm, treeshap
 
-from oracles import brute_force_shapley
+from oracles import brute_force_shapley, reference_tree_shap
 
 
 def train_small(rng, n=80, d=4, rounds=8, depth=3):
@@ -114,3 +114,76 @@ def test_summary_tie_break_by_feature_index():
                              feature_names=("a", "b", "c"), objective="logistic")
     summary = treeshap.shap_summary(model, np.zeros((3, 3)))
     assert [name for name, _ in summary.ranking] == ["a", "b", "c"]
+
+
+def paths_repeat_a_feature(node, seen=()):
+    if node.is_leaf:
+        return False
+    return node.feature in seen or any(
+        paths_repeat_a_feature(child, (*seen, node.feature)) for child in (node.left, node.right)
+    )
+
+
+def oracle_cases():
+    """(model, rows) pairs: random classifiers and regressors at depths 1-6
+    on continuous and tied integer columns, with min_child_cover 0 and
+    fractional and zero sample weights, plus a single-leaf tree; the rows
+    add one at each tree's root threshold, NaN and +-inf."""
+    rng = np.random.default_rng(2024)
+    for case in range(36):
+        depth = 1 + case % 6
+        n = int(rng.integers(12, 60))
+        d = int(rng.integers(1, 5))
+        x = rng.standard_normal((n, d))
+        if case % 3 == 0:
+            x = rng.integers(0, 3, (n, d)).astype(float)
+        config = gbm.TrainConfig(rounds=int(rng.integers(1, 7)), max_depth=depth, eta=0.3,
+                                 min_child_cover=(0.0, 0.5, 1.0)[case % 3])
+        if case % 2:
+            y = (x[:, 0] + rng.standard_normal(n) > 0).astype(float)
+            y[:2] = (0.0, 1.0)
+            model = gbm.train_classifier(x, y, config)
+        else:
+            weights = rng.random(n) * (rng.random(n) > 0.25)
+            weights[0] = 1.0
+            model = gbm.train_regressor(x, x[:, 0] ** 2 + rng.standard_normal(n), config,
+                                        sample_weight=weights)
+        model.trees.append(gbm.TreeNode(cover=1.0, weight=float(rng.standard_normal())))
+        rows = np.vstack([x, rng.standard_normal((4, d))])
+        for tree in model.trees:
+            if not tree.is_leaf:
+                at_threshold = rows[0].copy()
+                at_threshold[tree.feature] = tree.threshold
+                rows = np.vstack([rows, at_threshold])
+        rows[-1, 0], rows[-2, -1], rows[-3, 0] = np.nan, np.inf, -np.inf
+        yield model, rows
+
+
+def test_leaf_tables_match_recursion_oracle():
+    repeated = 0
+    for model, rows in oracle_cases():
+        repeated += any(paths_repeat_a_feature(tree) for tree in model.trees)
+        phi = treeshap.tree_shap(model, rows).phi
+        oracle = reference_tree_shap(model, rows)
+        assert np.array_equal(phi, oracle)
+        assert np.array_equal(np.signbit(phi), np.signbit(oracle))
+    assert repeated >= 5  # the cases split some feature twice on one path
+
+
+def test_leaf_tables_fail_only_where_the_recursion_does():
+    # A leaf with zero cover: the recursion divides by its zero fraction for
+    # every row that goes the other way, and for no row that reaches it.
+    stump = gbm.TreeNode(
+        cover=10.0, feature=0, threshold=0.0,
+        left=gbm.TreeNode(cover=0.0, weight=-1.0),
+        right=gbm.TreeNode(cover=10.0, weight=2.0),
+    )
+    model = gbm.BoostedModel(trees=[stump], eta=1.0, base_score=0.5,
+                             feature_names=("a", "b"), objective="logistic")
+    reaching = np.array([[-1.0, 0.0], [-2.0, 5.0]])
+    assert np.array_equal(treeshap.tree_shap(model, reaching).phi, reference_tree_shap(model, reaching))
+    for rows in (np.array([[1.0, 0.0]]), np.vstack([reaching, [[1.0, 0.0]]])):
+        with pytest.raises(ZeroDivisionError):
+            reference_tree_shap(model, rows)
+        with pytest.raises(ZeroDivisionError):
+            treeshap.tree_shap(model, rows)
