@@ -16,9 +16,18 @@ Two routes to the average treatment effect (ATE):
   propensity score), and R (residual-on-residual with cross-fitted nuisance
   models), plus the plain difference in means.
 
-Confidence intervals are percentile bootstrap: the interval endpoints are
-the floor(alpha/2 * B)-th and ceil((1 - alpha/2) * B)-th order statistics
-of the replicate estimates (1-based, clamped to [1, B]).
+The six estimators (`diff_means`, the four learners and `cevae_ate`) take
+`groups`, the group (province) id of each row, or None.  Without it the rows
+are the units: the ATE is the mean per-row effect, and each bootstrap
+replicate refits on resampled rows (CEVAE resamples the contrasts of its
+fixed networks).  With it the groups are the units: the ATE is the mean of
+the per-group mean effects of one fit, and the replicates resample those
+group means; the difference in means compares the two arms' group-mean
+outcomes and resamples each arm's groups.
+
+Confidence intervals are percentile bootstrap at CI_LEVEL: the interval
+endpoints are the floor(alpha/2 * B)-th and ceil((1 - alpha/2) * B)-th
+order statistics of the replicate estimates (1-based, clamped to [1, B]).
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ logger = logging.getLogger(__name__)
 
 PROPENSITY_CLIP = (0.01, 0.99)
 MIN_BOOTSTRAP = 50
+CI_LEVEL = 0.95
 
 
 class Method(Enum):
@@ -234,11 +244,7 @@ def t_learner_point(data: CausalDataset, config: TrainConfig = DEFAULT_BASE_CONF
     return float(np.mean(t_learner_effects(data, config)))
 
 
-def x_learner_effects(
-    data: CausalDataset,
-    config: TrainConfig = DEFAULT_BASE_CONFIG,
-    propensity_config: TrainConfig = DEFAULT_PROPENSITY_CONFIG,
-) -> np.ndarray:
+def x_learner_effects(data: CausalDataset, config: TrainConfig = DEFAULT_BASE_CONFIG) -> np.ndarray:
     """Imputed per-arm effects tau0/tau1 blended by the propensity score:
     tau(x) = g(x) tau0(x) + (1 - g(x)) tau1(x)."""
     treated = data.treatment == 1
@@ -252,23 +258,15 @@ def x_learner_effects(
     tau1 = train_regressor(x1, imputed_treated, config)
     tau0 = train_regressor(x0, imputed_control, config)
 
-    g = propensity(data, propensity_config)
+    g = propensity(data)
     return g * predict_value(tau0, data.covariates) + (1.0 - g) * predict_value(tau1, data.covariates)
 
 
-def x_learner_point(
-    data: CausalDataset,
-    config: TrainConfig = DEFAULT_BASE_CONFIG,
-    propensity_config: TrainConfig = DEFAULT_PROPENSITY_CONFIG,
-) -> float:
-    return float(np.mean(x_learner_effects(data, config, propensity_config)))
+def x_learner_point(data: CausalDataset, config: TrainConfig = DEFAULT_BASE_CONFIG) -> float:
+    return float(np.mean(x_learner_effects(data, config)))
 
 
-def _cross_fitted_nuisances(
-    data: CausalDataset,
-    config: TrainConfig,
-    propensity_config: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+def _cross_fitted_nuisances(data: CausalDataset, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold predictions of m(x) = E[y | x] and e(x) = P(t=1 | x)."""
     m_hat = np.empty(data.n)
     e_hat = np.empty(data.n)
@@ -285,46 +283,26 @@ def _cross_fitted_nuisances(
         treat_model = _fit_prob_model(
             data.covariates[train_mask],
             data.treatment[train_mask].astype(np.float64),
-            replace(propensity_config, seed=fold_seed),
+            replace(DEFAULT_PROPENSITY_CONFIG, seed=fold_seed),
         )
         m_hat[holdout] = outcome_model(data.covariates[holdout])
         e_hat[holdout] = np.clip(treat_model(data.covariates[holdout]), *PROPENSITY_CLIP)
     return m_hat, e_hat
 
 
-def r_learner_effects(
-    data: CausalDataset,
-    config: TrainConfig = DEFAULT_BASE_CONFIG,
-    propensity_config: TrainConfig = DEFAULT_PROPENSITY_CONFIG,
-    heterogeneous: bool = False,
-) -> np.ndarray:
-    """Per-row residual-on-residual effect tau(x).
-
-    With cross-fitted nuisances, the default fits a constant effect by
-    weighted least squares of outcome residuals on treatment residuals (a
-    constant vector is returned); `heterogeneous=True` instead fits a
-    boosted tau(x) on the pseudo-outcome with squared weights.
-    """
-    m_hat, e_hat = _cross_fitted_nuisances(data, config, propensity_config)
+def r_learner_effects(data: CausalDataset, config: TrainConfig = DEFAULT_BASE_CONFIG) -> np.ndarray:
+    """Residual-on-residual effect: with cross-fitted nuisances, a constant
+    fitted by least squares of outcome residuals on treatment residuals,
+    returned as a constant vector."""
+    m_hat, e_hat = _cross_fitted_nuisances(data, config)
     outcome_residual = data.outcome - m_hat
     treat_residual = data.treatment - e_hat
-    if not heterogeneous:
-        constant = float(np.sum(outcome_residual * treat_residual) / np.sum(treat_residual**2))
-        return np.full(data.n, constant)
-    pseudo = outcome_residual / treat_residual
-    tau_model = train_regressor(
-        data.covariates, pseudo, config, sample_weight=treat_residual**2
-    )
-    return predict_value(tau_model, data.covariates)
+    constant = float(np.sum(outcome_residual * treat_residual) / np.sum(treat_residual**2))
+    return np.full(data.n, constant)
 
 
-def r_learner_point(
-    data: CausalDataset,
-    config: TrainConfig = DEFAULT_BASE_CONFIG,
-    propensity_config: TrainConfig = DEFAULT_PROPENSITY_CONFIG,
-    heterogeneous: bool = False,
-) -> float:
-    return float(np.mean(r_learner_effects(data, config, propensity_config, heterogeneous)))
+def r_learner_point(data: CausalDataset, config: TrainConfig = DEFAULT_BASE_CONFIG) -> float:
+    return float(np.mean(r_learner_effects(data, config)))
 
 
 def group_mean_effects(effects: np.ndarray, group_ids: np.ndarray) -> np.ndarray:
@@ -354,79 +332,72 @@ def bootstrap_group_diff_ci(
     return percentile_interval(_bootstrap(n_boot, seed, diff), level)
 
 
-def _estimate_with_ci(
+def _estimate(
     method: Method,
     data: CausalDataset,
-    point: Callable[[CausalDataset], float],
+    effects: Callable[[CausalDataset], np.ndarray],
+    groups: np.ndarray | None,
     n_boot: int,
-    level: float,
     seed: int,
+    refit: bool = True,
 ) -> AteEstimate:
-    ate = float(np.clip(point(data), -1.0, 1.0))
-    ci_low = ci_high = None
-    if n_boot:
-        ci_low, ci_high = bootstrap_ci(point, data, n_boot, level, seed)
-    return AteEstimate(ate=ate, ci_low=ci_low, ci_high=ci_high, method=method)
+    """The ATE of per-row `effects` and its interval, in the unit `groups`
+    selects (module docstring); with `refit` False, row-unit replicates
+    resample the effects of the one fit instead of refitting."""
+    ci: tuple = (None, None)
+    if groups is None and refit:
+        point = lambda d: float(np.mean(effects(d)))  # noqa: E731
+        ate = point(data)
+        if n_boot:
+            ci = bootstrap_ci(point, data, n_boot, CI_LEVEL, seed)
+    else:
+        values = effects(data) if groups is None else group_mean_effects(effects(data), groups)
+        ate = values.mean()
+        if n_boot:
+            ci = percentile_bootstrap_mean(values, n_boot, CI_LEVEL, seed)
+    return AteEstimate(float(np.clip(ate, -1.0, 1.0)), *ci, method)
 
 
-def diff_means(data: CausalDataset, n_boot: int = 0, level: float = 0.95, seed: int = 0) -> AteEstimate:
-    return _estimate_with_ci(Method.DIFF_MEANS, data, diff_means_point, n_boot, level, seed)
-
-
-def s_learner(
-    data: CausalDataset,
-    config: TrainConfig = DEFAULT_BASE_CONFIG,
-    n_boot: int = 0,
-    level: float = 0.95,
-    seed: int = 0,
+def diff_means(
+    data: CausalDataset, n_boot: int = 0, seed: int = 0, groups: np.ndarray | None = None
 ) -> AteEstimate:
-    return _estimate_with_ci(
-        Method.S, data, lambda d: s_learner_point(d, config), n_boot, level, seed
-    )
+    """Treated minus control mean outcome.  With `groups`, the difference of
+    the two arms' mean group-mean outcomes, a group's arm being its majority
+    treatment, and replicates resample each arm's groups."""
+    ci: tuple = (None, None)
+    if groups is None:
+        ate = diff_means_point(data)
+        if n_boot:
+            ci = bootstrap_ci(diff_means_point, data, n_boot, CI_LEVEL, seed)
+    else:
+        means = group_mean_effects(data.outcome.astype(np.float64), groups)
+        treated = group_mean_effects(data.treatment.astype(np.float64), groups) > 0.5
+        ate = means[treated].mean() - means[~treated].mean()
+        if n_boot:
+            ci = bootstrap_group_diff_ci(means[treated], means[~treated], n_boot, CI_LEVEL, seed)
+    return AteEstimate(float(np.clip(ate, -1.0, 1.0)), *ci, Method.DIFF_MEANS)
 
 
-def t_learner(
-    data: CausalDataset,
-    config: TrainConfig = DEFAULT_BASE_CONFIG,
-    n_boot: int = 0,
-    level: float = 0.95,
-    seed: int = 0,
-) -> AteEstimate:
-    return _estimate_with_ci(
-        Method.T, data, lambda d: t_learner_point(d, config), n_boot, level, seed
-    )
+def _learner(method: Method, effects: Callable[[CausalDataset, TrainConfig], np.ndarray]):
+    """The public estimator of the meta-learner with per-row `effects`."""
+
+    def estimate(
+        data: CausalDataset,
+        config: TrainConfig = DEFAULT_BASE_CONFIG,
+        n_boot: int = 0,
+        seed: int = 0,
+        groups: np.ndarray | None = None,
+    ) -> AteEstimate:
+        return _estimate(method, data, lambda d: effects(d, config), groups, n_boot, seed)
+
+    estimate.__name__ = estimate.__qualname__ = f"{method.value}_learner"
+    return estimate
 
 
-def x_learner(
-    data: CausalDataset,
-    config: TrainConfig = DEFAULT_BASE_CONFIG,
-    propensity_config: TrainConfig = DEFAULT_PROPENSITY_CONFIG,
-    n_boot: int = 0,
-    level: float = 0.95,
-    seed: int = 0,
-) -> AteEstimate:
-    return _estimate_with_ci(
-        Method.X, data, lambda d: x_learner_point(d, config, propensity_config), n_boot, level, seed
-    )
-
-
-def r_learner(
-    data: CausalDataset,
-    config: TrainConfig = DEFAULT_BASE_CONFIG,
-    propensity_config: TrainConfig = DEFAULT_PROPENSITY_CONFIG,
-    heterogeneous: bool = False,
-    n_boot: int = 0,
-    level: float = 0.95,
-    seed: int = 0,
-) -> AteEstimate:
-    return _estimate_with_ci(
-        Method.R,
-        data,
-        lambda d: r_learner_point(d, config, propensity_config, heterogeneous),
-        n_boot,
-        level,
-        seed,
-    )
+s_learner = _learner(Method.S, s_learner_effects)
+t_learner = _learner(Method.T, t_learner_effects)
+x_learner = _learner(Method.X, x_learner_effects)
+r_learner = _learner(Method.R, r_learner_effects)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +560,8 @@ def cevae_fit(data: CausalDataset, config: CevaeConfig = DESK_PRESET) -> CevaeMo
     return model
 
 
-def cevae_unit_effects(
-    model: CevaeModel, data: CausalDataset, mc_samples: int, seed: int = 0
-) -> np.ndarray:
-    """Per-unit E_z[p(y=1 | t=1, z) - p(y=1 | t=0, z)] via posterior draws."""
+def cevae_unit_effects(model: CevaeModel, data: CausalDataset, seed: int = 0) -> np.ndarray:
+    """Per-unit E_z[p(y=1 | t=1, z) - p(y=1 | t=0, z)] over `model.config.mc_samples` posterior draws."""
     rng = np.random.default_rng(derive_seed(seed, "cevae-ate"))
     x = (data.covariates - model.x_mean) / model.x_std
     t = data.treatment.astype(np.float64)[:, None]
@@ -601,37 +570,29 @@ def cevae_unit_effects(
     std = np.exp(0.5 * logvar.data)
 
     deltas = np.zeros(data.n)
-    for _ in range(mc_samples):
+    for _ in range(model.config.mc_samples):
         z = ad.Tensor(mu.data + std * rng.standard_normal(std.shape))
         p1 = 1.0 / (1.0 + np.exp(-model.decoder_y1(z).data[:, 0]))
         p0 = 1.0 / (1.0 + np.exp(-model.decoder_y0(z).data[:, 0]))
         deltas += p1 - p0
-    return deltas / mc_samples
+    return deltas / model.config.mc_samples
 
 
 def cevae_ate(
     model: CevaeModel,
     data: CausalDataset,
-    mc_samples: int | None = None,
     n_boot: int = 200,
-    level: float = 0.95,
     seed: int = 0,
+    groups: np.ndarray | None = None,
 ) -> AteEstimate:
-    """ATE with a percentile-bootstrap CI over the per-unit contrasts.
+    """ATE of the per-unit contrasts `cevae_unit_effects`.
 
     The trained networks are held fixed across bootstrap replicates (a full
     refit per replicate is far beyond desk scale), so the interval reflects
     unit-level sampling variation of the plug-in estimate.
     """
-    if mc_samples is None:
-        mc_samples = model.config.mc_samples
-    deltas = cevae_unit_effects(model, data, mc_samples, seed)
-    ate = float(np.clip(deltas.mean(), -1.0, 1.0))
-    ci_low = ci_high = None
-    if n_boot:
-        ci_low, ci_high = percentile_bootstrap_mean(deltas, n_boot, level, seed)
-        ci_low, ci_high = float(np.clip(ci_low, -1.0, 1.0)), float(np.clip(ci_high, -1.0, 1.0))
-    return AteEstimate(ate=ate, ci_low=ci_low, ci_high=ci_high, method=Method.CEVAE)
+    effects = lambda d: cevae_unit_effects(model, d, seed)  # noqa: E731
+    return _estimate(Method.CEVAE, data, effects, groups, n_boot, seed, refit=False)
 
 
 # ---------------------------------------------------------------------------

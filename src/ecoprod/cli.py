@@ -461,74 +461,6 @@ def build_causal_dataset(
     return causal_mod.CausalDataset(covariates=rows, treatment=treatment, outcome=outcome)
 
 
-def _province_level_estimate(
-    method: str,
-    data: causal_mod.CausalDataset,
-    province_ids: np.ndarray,
-    options: CausalOptions,
-    method_seed: int,
-    report: dict,
-) -> causal_mod.AteEstimate:
-    """One-unit-per-province estimate: message-level contrasts are averaged
-    within each province before the across-province average."""
-    boot = options.bootstrap
-    if method == "diffmeans":
-        means = causal_mod.group_mean_effects(data.outcome.astype(float), province_ids)
-        treated = causal_mod.group_mean_effects(data.treatment.astype(float), province_ids) > 0.5
-        ate = float(means[treated].mean() - means[~treated].mean())
-        ci_low = ci_high = None
-        if boot:
-            ci_low, ci_high = causal_mod.bootstrap_group_diff_ci(
-                means[treated], means[~treated], boot, 0.95, method_seed
-            )
-        return causal_mod.AteEstimate(
-            ate=float(np.clip(ate, -1, 1)), ci_low=ci_low, ci_high=ci_high,
-            method=causal_mod.Method.DIFF_MEANS,
-        )
-
-    base = options.base_learner
-    if method == "s":
-        effects = causal_mod.s_learner_effects(data, base)
-        enum = causal_mod.Method.S
-    elif method == "t":
-        effects = causal_mod.t_learner_effects(data, base)
-        enum = causal_mod.Method.T
-    elif method == "x":
-        effects = causal_mod.x_learner_effects(data, base)
-        enum = causal_mod.Method.X
-    elif method == "r":
-        effects = causal_mod.r_learner_effects(data, base)
-        enum = causal_mod.Method.R
-    else:  # cevae
-        model, config = _fit_cevae(data, options, method_seed)
-        report["cevae_diagnostics"] = {
-            "loss_history": model.loss_history,
-            "preset": options.preset,
-            "epochs": config.epochs,
-        }
-        effects = causal_mod.cevae_unit_effects(model, data, config.mc_samples, seed=method_seed)
-        enum = causal_mod.Method.CEVAE
-
-    by_province = causal_mod.group_mean_effects(effects, province_ids)
-    ci_low = ci_high = None
-    if boot:
-        ci_low, ci_high = causal_mod.percentile_bootstrap_mean(
-            by_province, boot, 0.95, method_seed
-        )
-    return causal_mod.AteEstimate(
-        ate=float(np.clip(by_province.mean(), -1, 1)), ci_low=ci_low, ci_high=ci_high, method=enum,
-    )
-
-
-def _fit_cevae(
-    data: causal_mod.CausalDataset, options: CausalOptions, method_seed: int
-) -> tuple[causal_mod.CevaeModel, causal_mod.CevaeConfig]:
-    config = replace(PRESETS[options.preset], seed=method_seed)
-    if options.epochs is not None:
-        config = replace(config, epochs=options.epochs)
-    return causal_mod.cevae_fit(data, config), config
-
-
 def stage_causal(
     provinces_path: Path,
     complaints_path: Path,
@@ -542,34 +474,30 @@ def stage_causal(
     provinces, schema = _load_scored_provinces(provinces_path, scores_path)
     complaints = _load_clustered_complaints(complaints_path, clusters_path)
     data = build_causal_dataset(provinces, complaints, options.covariates, schema)
-    province_ids = np.array([c.province_id for c in complaints])
+    groups = np.array([c.province_id for c in complaints]) if options.unit == "province" else None
 
-    base = options.base_learner
+    # Built per call, not at import: perfbench/tracing.py replaces these
+    # module attributes with timing wrappers after import, and the wrappers
+    # give the causal.method_s.<method> spans.
+    learners = {"s": causal_mod.s_learner, "t": causal_mod.t_learner,
+                "x": causal_mod.x_learner, "r": causal_mod.r_learner}
     report: dict[str, dict] = {}
     for method in options.methods:
         method_seed = derive_seed(seed, f"causal:{method}")
-        if options.unit == "province":
-            estimate = _province_level_estimate(
-                method, data, province_ids, options, method_seed, report
-            )
-        elif method == "diffmeans":
-            estimate = causal_mod.diff_means(data, options.bootstrap, seed=method_seed)
-        elif method == "s":
-            estimate = causal_mod.s_learner(data, base, options.bootstrap, seed=method_seed)
-        elif method == "t":
-            estimate = causal_mod.t_learner(data, base, options.bootstrap, seed=method_seed)
-        elif method == "x":
-            estimate = causal_mod.x_learner(data, base, n_boot=options.bootstrap, seed=method_seed)
-        elif method == "r":
-            estimate = causal_mod.r_learner(data, base, n_boot=options.bootstrap, seed=method_seed)
-        else:  # cevae
-            model, config = _fit_cevae(data, options, method_seed)
-            estimate = causal_mod.cevae_ate(model, data, n_boot=options.bootstrap, seed=method_seed)
+        if method == "diffmeans":
+            estimate = causal_mod.diff_means(data, options.bootstrap, method_seed, groups)
+        elif method == "cevae":
+            preset = PRESETS[options.preset]
+            config = replace(preset, seed=method_seed, epochs=options.epochs or preset.epochs)
+            model = causal_mod.cevae_fit(data, config)
+            estimate = causal_mod.cevae_ate(model, data, options.bootstrap, method_seed, groups)
             report["cevae_diagnostics"] = {
                 "loss_history": model.loss_history,
                 "preset": options.preset,
-                "epochs": config.epochs,
+                "epochs": model.config.epochs,
             }
+        else:
+            estimate = learners[method](data, options.base_learner, options.bootstrap, method_seed, groups)
         report[method] = {
             "ate": estimate.ate,
             "ci_low": estimate.ci_low,

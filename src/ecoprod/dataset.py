@@ -235,7 +235,7 @@ def write_provinces(path: str | Path, records: list[ProvinceRecord], schema: Col
 _COMPLAINT_KEYS = ("id", "province_id", "embedding", "sentiment", "attention", "label")
 
 
-def _finite_number(value) -> bool:
+def finite_number(value) -> bool:
     """A JSON number (not a bool) that is neither NaN nor infinite."""
     try:
         return type(value) in (int, float) and math.isfinite(value)
@@ -269,7 +269,7 @@ def _complaint_fields(obj, where: str) -> tuple[int, int, np.ndarray, float, int
     for key in ("attention", "label"):
         if type(obj[key]) is not int or obj[key] not in (0, 1):
             raise IngestionError(f"{where}: field {key!r} must be the integer 0 or 1, got {obj[key]!r}")
-    if not _finite_number(obj["sentiment"]):
+    if not finite_number(obj["sentiment"]):
         raise IngestionError(f"{where}: field 'sentiment' must be a finite number, got {obj['sentiment']!r}")
     embedding = _finite_vector(obj["embedding"])
     if embedding is None:

@@ -40,12 +40,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateSplitError, TrainingError
+from .dataset import finite_number
+from .errors import ConfigError, DegenerateSplitError, TrainingError
 from .seeding import derive_seed
 from .spectral import ClusterAssignment, kmeans
 
 PROBABILITY_CLAMP = 1e-15
 LOSS_INCREASE_TOL = 1e-9
+
+
+_MODEL_KEYS = {"objective", "base_score", "eta", "feature_names", "trees"}
+_LEAF_KEYS = {"weight", "cover"}
+_SPLIT_KEYS = {"feature", "threshold", "cover", "left", "right"}
+
+
+def _check_keys(obj, keys: set, where: str) -> None:
+    if not isinstance(obj, dict) or obj.keys() != keys:
+        raise ConfigError(f"{where} must be a JSON object with exactly the keys {sorted(keys)}")
+
+
+def _number(value, where: str):
+    """`value`, if it is a finite JSON number; else a ConfigError naming `where`."""
+    if not finite_number(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass
@@ -76,15 +94,24 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "TreeNode":
-        if "weight" in obj:
-            return cls(cover=obj["cover"], weight=obj["weight"])
+    def from_dict(cls, obj, where: str, n_features: int) -> "TreeNode":
+        """The node `obj` of a model dump, checked against the schema of
+        `to_dict`; a violation is a ConfigError naming `where`."""
+        leaf = isinstance(obj, dict) and "weight" in obj
+        _check_keys(obj, _LEAF_KEYS if leaf else _SPLIT_KEYS, where)
+        if not (finite_number(obj["cover"]) and obj["cover"] > 0):
+            raise ConfigError(f"{where}.cover must be a finite number > 0, got {obj['cover']!r}")
+        if leaf:
+            return cls(cover=obj["cover"], weight=_number(obj["weight"], f"{where}.weight"))
+        feature = obj["feature"]
+        if type(feature) is not int or not 0 <= feature < n_features:
+            raise ConfigError(f"{where}.feature must be an int in [0, {n_features}), got {feature!r}")
         return cls(
             cover=obj["cover"],
-            feature=obj["feature"],
-            threshold=obj["threshold"],
-            left=cls.from_dict(obj["left"]),
-            right=cls.from_dict(obj["right"]),
+            feature=feature,
+            threshold=_number(obj["threshold"], f"{where}.threshold"),
+            left=cls.from_dict(obj["left"], f"{where}.left", n_features),
+            right=cls.from_dict(obj["right"], f"{where}.right", n_features),
         )
 
 
@@ -441,12 +468,22 @@ def model_to_json(model: BoostedModel) -> dict:
     }
 
 
-def model_from_json(obj: dict) -> BoostedModel:
+def model_from_json(obj) -> BoostedModel:
+    """The model of a dump, checked against the schema of `model_to_json`; a
+    violation is a ConfigError naming the first offending key or node."""
+    _check_keys(obj, _MODEL_KEYS, "the model")
+    if obj["objective"] not in ("logistic", "squared"):
+        raise ConfigError(f"objective must be 'logistic' or 'squared', got {obj['objective']!r}")
+    names = obj["feature_names"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ConfigError("feature_names must be a list of strings")
+    if not isinstance(obj["trees"], list):
+        raise ConfigError("trees must be a list")
     return BoostedModel(
-        trees=[TreeNode.from_dict(t) for t in obj["trees"]],
-        eta=obj["eta"],
-        base_score=obj["base_score"],
-        feature_names=tuple(obj["feature_names"]),
+        trees=[TreeNode.from_dict(tree, f"trees[{i}]", len(names)) for i, tree in enumerate(obj["trees"])],
+        eta=_number(obj["eta"], "eta"),
+        base_score=_number(obj["base_score"], "base_score"),
+        feature_names=tuple(names),
         objective=obj["objective"],
     )
 
@@ -458,5 +495,11 @@ def save_model(model: BoostedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BoostedModel:
-    with Path(path).open(encoding="utf-8") as handle:
-        return model_from_json(json.load(handle))
+    """Read a model dump; input that is not JSON or leaves the schema is a
+    ConfigError naming the file and the offending key."""
+    try:
+        return model_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"model file {path}: invalid JSON: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"model file {path}: {exc}") from None

@@ -166,7 +166,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER) -> ClusterAssignment:
+def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """Lloyd iterations from k-means++ seeding until the assignment is stable.
 
     An empty cluster is re-seeded at the point farthest from its current
@@ -185,7 +185,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITE
     labels = np.full(n, -1, dtype=np.int64)
     previous_wcss = np.inf
     iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, KMEANS_MAX_ITER + 1):
         d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         point_sq = d2[np.arange(n), new_labels]
@@ -219,38 +219,29 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITE
     return ClusterAssignment(labels=labels, centroids=centroids.copy(), wcss=wcss, n_iterations=iteration)
 
 
-def best_kmeans(
-    points: np.ndarray, k: int, seed: int, restarts: int = DEFAULT_RESTARTS
-) -> ClusterAssignment:
+def best_kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """Best-of-restarts k-means (lowest wcss), deterministic via derived seeds."""
     best = None
-    for r in range(restarts):
+    for r in range(DEFAULT_RESTARTS):
         result = kmeans(points, k, derive_seed(seed, f"kmeans-restart:{r}"))
         if best is None or result.wcss < best.wcss:
             best = result
     return best
 
 
-def spectral_cluster(
-    embeddings: np.ndarray,
-    k: int,
-    seed: int,
-    restarts: int = DEFAULT_RESTARTS,
-) -> tuple[ClusterAssignment, np.ndarray]:
+def spectral_cluster(embeddings: np.ndarray, k: int, seed: int) -> tuple[ClusterAssignment, np.ndarray]:
     """Full pipeline: similarity -> Laplacian -> embed -> k-means.
 
     Returns the assignment and the spectral embedding it was computed on.
     """
     lap = normalized_laplacian(similarity(embeddings))
     embedded = spectral_embed(lap, k)
-    return best_kmeans(embedded, k, seed, restarts=restarts), embedded
+    return best_kmeans(embedded, k, seed), embedded
 
 
-def wcss_curve(points: np.ndarray, k_max: int, seed: int, restarts: int = DEFAULT_RESTARTS) -> np.ndarray:
+def wcss_curve(points: np.ndarray, k_max: int, seed: int) -> np.ndarray:
     """wcss for k = 1..k_max (index 0 holds k=1)."""
-    return np.array(
-        [best_kmeans(points, k, derive_seed(seed, f"elbow:{k}"), restarts=restarts).wcss for k in range(1, k_max + 1)]
-    )
+    return np.array([best_kmeans(points, k, derive_seed(seed, f"elbow:{k}")).wcss for k in range(1, k_max + 1)])
 
 
 def elbow_from_curve(curve: np.ndarray) -> int:
@@ -264,11 +255,11 @@ def elbow_from_curve(curve: np.ndarray) -> int:
     return int(candidates[int(np.argmax(second_diff))])
 
 
-def elbow_k(points: np.ndarray, k_max: int, seed: int, restarts: int = DEFAULT_RESTARTS) -> int:
+def elbow_k(points: np.ndarray, k_max: int, seed: int) -> int:
     """Elbow rule over the wcss curve for k = 1..k_max."""
     if k_max < 3:
         raise ClusteringError("elbow selection needs k_max >= 3")
-    return elbow_from_curve(wcss_curve(points, k_max, seed, restarts=restarts))
+    return elbow_from_curve(wcss_curve(points, k_max, seed))
 
 
 def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
@@ -315,13 +306,7 @@ def _shuffle_columns(embeddings: np.ndarray, rng: np.random.Generator) -> np.nda
     return shuffled
 
 
-def permutation_test(
-    embeddings: np.ndarray,
-    k: int,
-    n_permutations: int,
-    seed: int,
-    restarts: int = DEFAULT_RESTARTS,
-) -> PermutationTestResult:
+def permutation_test(embeddings: np.ndarray, k: int, n_permutations: int, seed: int) -> PermutationTestResult:
     """Observed vs column-shuffled clustering scores.
 
     The score is the mean silhouette of the spectral clustering measured in
@@ -333,7 +318,7 @@ def permutation_test(
         raise ClusteringError("need at least one permutation")
     embeddings = np.asarray(embeddings, dtype=np.float64)
 
-    assignment, embedded = spectral_cluster(embeddings, k, derive_seed(seed, "observed"), restarts=restarts)
+    assignment, embedded = spectral_cluster(embeddings, k, derive_seed(seed, "observed"))
     s_obs = silhouette_score(embedded, assignment.labels)
 
     s_perm = np.empty(n_permutations)
@@ -341,7 +326,7 @@ def permutation_test(
         replicate_seed = derive_seed(seed, f"replicate:{i}")
         rng = np.random.default_rng(replicate_seed)
         shuffled = _shuffle_columns(embeddings, rng)
-        perm_assignment, perm_embedded = spectral_cluster(shuffled, k, replicate_seed, restarts=restarts)
+        perm_assignment, perm_embedded = spectral_cluster(shuffled, k, replicate_seed)
         s_perm[i] = silhouette_score(perm_embedded, perm_assignment.labels)
 
     return PermutationTestResult(s_obs=s_obs, s_perm=s_perm, p=exceedance_fraction(s_obs, s_perm))

@@ -4,8 +4,9 @@ Nothing here may call into the implementation paths under test: the LP
 oracle enumerates basic solutions directly, the Shapley oracle enumerates
 feature subsets, the exact TreeSHAP oracle runs the per-row recursion that
 the leaf tables replace, the boosting oracle sorts every feature at every
-node and refits by walking each finished tree, and the clustering metrics
-are computed from first principles.
+node and refits by walking each finished tree, the grouped treatment-effect
+oracle aggregates per-row effects by group itself, and the clustering
+metrics are computed from first principles.
 """
 
 from __future__ import annotations
@@ -346,6 +347,41 @@ def reference_boosted_regressor(x, y, config, sample_weight=None) -> dict:
         "feature_names": [f"f{j}" for j in range(x.shape[1])],
         "trees": trees,
     }
+
+
+def reference_grouped_estimate(method, data, groups, n_boot, seed, config=None, cevae_model=None):
+    """(ate, ci_low, ci_high) with `groups` as the units, formed the way the
+    pipeline's province unit did before the estimators took `groups`: the
+    mean of per-group mean effects with a percentile bootstrap of those means,
+    and for diffmeans the difference of the two arms' group-mean outcomes with
+    a bootstrap resampling each arm's groups.  The per-row effects and the
+    bootstrap loops are the library's; the grouping is done here."""
+    from ecoprod import causal
+
+    groups = np.asarray(groups)
+
+    def group_means(values):
+        values = np.asarray(values, dtype=np.float64)
+        return np.array([values[groups == g].mean() for g in np.unique(groups)])
+
+    ci = (None, None)
+    if method == "diffmeans":
+        means = group_means(data.outcome.astype(float))
+        treated = group_means(data.treatment.astype(float)) > 0.5
+        ate = float(means[treated].mean() - means[~treated].mean())
+        if n_boot:
+            ci = causal.bootstrap_group_diff_ci(means[treated], means[~treated], n_boot, 0.95, seed)
+        return float(np.clip(ate, -1, 1)), *ci
+    if method == "cevae":
+        effects = causal.cevae_unit_effects(cevae_model, data, seed=seed)
+    else:
+        learner = {"s": causal.s_learner_effects, "t": causal.t_learner_effects,
+                   "x": causal.x_learner_effects, "r": causal.r_learner_effects}[method]
+        effects = learner(data, config)
+    by_group = group_means(effects)
+    if n_boot:
+        ci = causal.percentile_bootstrap_mean(by_group, n_boot, 0.95, seed)
+    return float(np.clip(by_group.mean(), -1, 1)), *ci
 
 
 def adjusted_rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:

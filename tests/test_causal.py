@@ -7,7 +7,7 @@ from ecoprod import causal
 from ecoprod.errors import BootstrapError, CausalError
 from ecoprod.gbm import TrainConfig
 
-from oracles import auc_score
+from oracles import auc_score, reference_grouped_estimate
 
 RNG = np.random.default_rng(77)
 
@@ -163,14 +163,6 @@ def test_learner_wrappers_attach_bootstrap_ci():
     assert no_ci.ci_low is None and no_ci.ci_high is None
 
 
-def test_r_learner_heterogeneous_flag_runs():
-    data, _ = causal.synthetic_causal_dataset(600, 4, true_ate=0.2, confounding_strength=0.5, seed=17)
-    constant = causal.r_learner_point(data, QUICK_BASE)
-    flexible = causal.r_learner_point(data, QUICK_BASE, heterogeneous=True)
-    assert -1.0 <= flexible <= 1.0
-    assert abs(constant - flexible) < 0.3
-
-
 # --- synthetic benchmark ----------------------------------------------------
 
 
@@ -213,6 +205,35 @@ def test_group_mean_effects_weights_groups_equally():
     effects = np.array([1.0, 1.0, 1.0, 5.0])
     groups = np.array([10, 10, 10, 20])
     assert causal.group_mean_effects(effects, groups).tolist() == [1.0, 5.0]
+
+
+@pytest.mark.parametrize("n_boot", [0, 50])
+def test_grouped_estimates_match_oracle(n_boot):
+    # Groups of 1 to 60 rows with unsorted, non-contiguous ids; treatment is
+    # set per group, as a province's efficiency group is.
+    rng = np.random.default_rng(31)
+    sizes = [1, 2, 5, 9, 14, 20, 27, 35, 47, 60]
+    ids = rng.permutation([40, 3, 17, 8, 25, 61, 12, 5, 33, 90])
+    groups = rng.permutation(np.repeat(ids, sizes))
+    arm = {g: int(i % 2) for i, g in enumerate(ids)}
+    t = np.array([arm[g] for g in groups])
+    x = rng.standard_normal((groups.shape[0], 3))
+    y = (rng.random(groups.shape[0]) < 0.3 + 0.3 * t + 0.1 * (x[:, 0] > 0)).astype(int)
+    data = causal.CausalDataset(covariates=x, treatment=t, outcome=y)
+    model = causal.cevae_fit(data, replace(causal.DESK_PRESET, epochs=2, seed=32))
+
+    estimates = {
+        "diffmeans": causal.diff_means(data, n_boot, 33, groups=groups),
+        "s": causal.s_learner(data, QUICK_BASE, n_boot, 33, groups=groups),
+        "t": causal.t_learner(data, QUICK_BASE, n_boot, 33, groups=groups),
+        "x": causal.x_learner(data, QUICK_BASE, n_boot, 33, groups=groups),
+        "r": causal.r_learner(data, QUICK_BASE, n_boot, 33, groups=groups),
+        "cevae": causal.cevae_ate(model, data, n_boot, 33, groups=groups),
+    }
+    for method, estimate in estimates.items():
+        expected = reference_grouped_estimate(method, data, groups, n_boot, 33, QUICK_BASE, model)
+        assert (estimate.ate, estimate.ci_low, estimate.ci_high) == expected, method
+        assert (estimate.ci_low is None) == (n_boot == 0), method
 
 
 # --- latent-confounder model ------------------------------------------------

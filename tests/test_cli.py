@@ -1,10 +1,12 @@
 import csv
+import inspect
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from ecoprod import cli, treeshap
+from ecoprod import causal, cli, gbm, treeshap
 from ecoprod.seeding import derive_seed
 
 
@@ -371,3 +373,78 @@ def test_bad_artifact_exits_2_naming_file_line_and_column(fixture_dir, tmp_path,
     err = capsys.readouterr().err
     assert name in err and f"line {line}:" in err and f"'{column}'" in err
     assert not (tmp_path / "out" / "ate_report.json").exists()
+
+
+def leftmost(node, path):
+    while "weight" not in node:
+        node, path = node["left"], path + ".left"
+    return node, path
+
+
+def model_fault(name, model):
+    """Break `model` (the parsed model.json) in place; the node path the error must name."""
+    tree = model["trees"][0]
+    if name == "missing-cover":
+        del tree["left"]["cover"]
+        return "trees[0].left"
+    if name == "zero-cover-leaf":
+        leaf, path = leftmost(tree, "trees[0]")
+        leaf["cover"] = 0.0
+        return path + ".cover"
+    tree["feature"] = 999
+    return "trees[0].feature"
+
+
+@pytest.mark.parametrize("fault", ["not-json", "missing-cover", "zero-cover-leaf", "feature-out-of-range"])
+def test_bad_model_json_exits_2_naming_file_and_node(fixture_dir, tmp_path, capsys, fault):
+    path = tmp_path / "model.json"
+    if fault == "not-json":
+        path.write_text("{not json")
+        named = "JSON"
+    else:
+        model = json.loads((fixture_dir / "run_a" / "model.json").read_text())
+        named = model_fault(fault, model)
+        path.write_text(json.dumps(model))
+    run = fixture_dir / "run_a"
+    rc = cli.main([
+        "explain", "--model", str(path), "--provinces", str(fixture_dir / "provinces.csv"),
+        "--complaints", str(fixture_dir / "complaints.jsonl"),
+        "--dea-scores", str(run / "dea_scores.csv"), "--clusters", str(run / "clusters.csv"),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err
+
+
+@pytest.mark.parametrize("unit", ["message", "province"])
+def test_causal_reaches_estimators_through_module_attributes(fixture_dir, tmp_path, monkeypatch, unit):
+    # perfbench/tracing.py wraps these six module attributes to time each
+    # method (the causal.method_s.* metrics), so stage_causal must call each
+    # through its causal.<name> attribute, once, in both units.
+    calls = {}
+    for name in ("diff_means", "s_learner", "t_learner", "x_learner", "r_learner", "cevae_ate"):
+        original = getattr(causal, name)
+        signature = inspect.signature(original)
+
+        def counting(*args, _original=original, _signature=signature, _name=name, **kwargs):
+            bound = _signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.setdefault(_name, []).append(bound.arguments.get("groups"))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(causal, name, counting)
+    run = fixture_dir / "run_a"
+    options = cli.CausalOptions(bootstrap=0, epochs=1, unit=unit,
+                                base_learner=gbm.TrainConfig(rounds=5, max_depth=2))
+    cli.stage_causal(fixture_dir / "provinces.csv", fixture_dir / "complaints.jsonl", run / "dea_scores.csv",
+                     run / "clusters.csv", options, 3, tmp_path)
+    assert sorted(calls) == sorted(["diff_means", "s_learner", "t_learner", "x_learner", "r_learner", "cevae_ate"])
+    lines = (fixture_dir / "complaints.jsonl").read_text().splitlines()
+    province_ids = [json.loads(line)["province_id"] for line in lines]
+    for name, groups in calls.items():
+        assert len(groups) == 1, name
+        if unit == "message":
+            assert groups[0] is None, name
+        else:
+            assert np.array_equal(groups[0], province_ids), name
