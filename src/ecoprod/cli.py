@@ -185,8 +185,13 @@ def stage_cluster(
     out_dir: Path,
     province_groups: dict[int, dea_mod.EcoGroup] | None = None,
 ) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     complaints = ds.load_complaints(complaints_path)
+    # k-means cannot fill more clusters than there are complaints; say so
+    # before the elbow curve spends a best-of-restarts run on every k.
+    key, count = ("cluster.k", options.k) if options.k is not None else ("cluster.k_max", options.k_max)
+    if count > len(complaints):
+        raise ConfigError(f"{key} must be at most the {len(complaints)} complaints, got {count}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     embeddings = np.array([c.embedding for c in complaints])
 
     wcss_report: dict[str, float]
@@ -200,7 +205,9 @@ def stage_cluster(
     if options.k is not None:
         wcss_report = {str(k): assignment.wcss}
     silhouette = spectral.silhouette_score(embedded, assignment.labels)
-    perm = spectral.permutation_test(embeddings, k, options.permutations, derive_seed(seed, "perm"))
+    perm = spectral.permutation_test(
+        embeddings, k, options.permutations, derive_seed(seed, "perm"), embedded=embedded
+    )
 
     clustered = [c.with_cluster(int(label)) for c, label in zip(complaints, assignment.labels)]
     rates = spectral.coproduction_rate_by_cluster(clustered, n_clusters=k)

@@ -101,8 +101,15 @@ def similarity(embeddings: np.ndarray) -> SimilarityMatrix:
     if not np.all(np.isfinite(points)):
         raise DegenerateSimilarityError("non-finite embedding entries")
     d2 = _pairwise_sq_dists(points)
-    upper = np.sqrt(d2[np.triu_indices(points.shape[0], k=1)])
-    bandwidth = float(np.median(upper))
+    # sqrt is monotone under rounding, so the two middle pairwise distances
+    # are the square roots of the two middle squared distances: the median
+    # needs two square roots, not one per pair.
+    n = points.shape[0]
+    upper_sq = d2[np.arange(n)[:, None] < np.arange(n)]
+    half = upper_sq.shape[0] // 2
+    part = np.partition(upper_sq, half)
+    below = part[:half].max() if upper_sq.shape[0] % 2 == 0 else part[half]
+    bandwidth = float(0.5 * (np.sqrt(below) + np.sqrt(part[half])))
     if bandwidth <= 0.0:
         raise DegenerateSimilarityError("median pairwise distance is zero")
     w = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
@@ -121,7 +128,9 @@ def normalized_laplacian(w: SimilarityMatrix | np.ndarray) -> NormalizedLaplacia
             f"vertex {int(np.argmin(degrees))} has zero degree in the similarity graph"
         )
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    lap = -adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
+    lap = np.negative(adjacency, out=adjacency)
+    lap *= inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
     np.fill_diagonal(lap, 1.0)
     lap = 0.5 * (lap + lap.T)
     return NormalizedLaplacian(matrix=lap, degrees=degrees)
@@ -166,12 +175,44 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
+def _nearest_centroids(points: np.ndarray, point_norms_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid, as the exact (n, k, d) expression
+    `argmin(sum((x - c) ** 2))` gives it, ties and rounding included.
+
+    The distances come from one GEMM, ||x||^2 - 2 x.c + ||c||^2.  Let u =
+    eps / 2 be the unit roundoff and S = ||x|| + max||c||, so that every
+    D = ||x - c||^2 <= S^2.  The exact expression rounds each difference and
+    square and sums d terms: it is within (d + 2) u D of D.  The GEMM form
+    rounds ||x||^2, ||c||^2 and x.c (d terms each, in any order) and its two
+    additions: it is within (d + 2) u (||x||^2 + 2 |x.c| + ||c||^2), again at
+    most (d + 2) u S^2.  So the two differ by at most e = 2 (d + 2) u S^2 for
+    every centroid, and where the GEMM's best and second-best distances are
+    more than 2 e apart, its best centroid is the exact expression's strict
+    minimum.  Rows within 8 (d + 2) eps S^2 = 8 e, which leaves room for the
+    second-order terms, are recomputed with the exact expression.
+    """
+    n, d = points.shape
+    centroid_norms_sq = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = point_norms_sq[:, None] - 2.0 * (points @ centroids.T) + centroid_norms_sq[None, :]
+    labels = np.argmin(d2, axis=1)
+    rows = np.arange(n)
+    best = d2[rows, labels]
+    d2[rows, labels] = np.inf
+    scale = np.sqrt(point_norms_sq) + np.sqrt(centroid_norms_sq.max())
+    close = np.flatnonzero(d2.min(axis=1) - best <= 8.0 * (d + 2) * np.finfo(np.float64).eps * scale**2)
+    if close.size:
+        exact = np.sum((points[close, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        labels[close] = np.argmin(exact, axis=1)
+    return labels
+
+
 def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """Lloyd iterations from k-means++ seeding until the assignment is stable.
 
-    An empty cluster is re-seeded at the point farthest from its current
-    centroid.  The within-cluster sum of squares is non-increasing across
-    iterations and recomputed exactly for the returned assignment.
+    Empty clusters are re-seeded at the globally farthest points from their
+    assigned centroids, one point per empty cluster.  The within-cluster sum
+    of squares is non-increasing across iterations and recomputed exactly for
+    the returned assignment.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -181,26 +222,25 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         raise ClusteringError(f"k={k} outside [1, {n}]")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
+    point_norms_sq = np.einsum("ij,ij->i", points, points)
 
     labels = np.full(n, -1, dtype=np.int64)
     previous_wcss = np.inf
     iteration = 0
     for iteration in range(1, KMEANS_MAX_ITER + 1):
-        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        point_sq = d2[np.arange(n), new_labels]
+        new_labels = _nearest_centroids(points, point_norms_sq, centroids)
+        residual_sq = (points - centroids[new_labels]) ** 2
 
-        # Re-seed empties at the globally farthest points, one per cluster.
-        empties = [c for c in range(k) if not np.any(new_labels == c)]
-        if empties:
-            order = np.argsort(-point_sq, kind="stable")
+        empties = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
+        if empties.size:
+            order = np.argsort(-residual_sq.sum(axis=1), kind="stable")
             for slot, c in enumerate(empties):
                 idx = int(order[slot])
                 centroids[c] = points[idx]
                 new_labels[idx] = c
-                point_sq[idx] = 0.0
+                residual_sq[idx] = 0.0
 
-        wcss = float(np.sum((points - centroids[new_labels]) ** 2))
+        wcss = float(np.sum(residual_sq))
         if wcss > previous_wcss + 1e-9 * max(1.0, previous_wcss):
             raise ClusteringError("within-cluster sum of squares increased")
         converged = np.array_equal(new_labels, labels)
@@ -208,12 +248,16 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         previous_wcss = wcss
         if converged:
             break
+        # Members in index order, as points[labels == c] lists them, so that
+        # each mean adds the same rows in the same order.
+        by_label = points[np.argsort(labels, kind="stable")]
+        counts = np.bincount(labels, minlength=k)
+        ends = np.cumsum(counts)
         for c in range(k):
-            members = points[labels == c]
-            if members.shape[0]:
-                centroids[c] = members.mean(axis=0)
+            if counts[c]:
+                centroids[c] = by_label[ends[c] - counts[c]:ends[c]].mean(axis=0)
 
-    if any(not np.any(labels == c) for c in range(k)):
+    if np.any(np.bincount(labels, minlength=k) == 0):
         raise ClusteringError(f"could not populate all {k} clusters")
     wcss = float(np.sum((points - centroids[labels]) ** 2))
     return ClusterAssignment(labels=labels, centroids=centroids.copy(), wcss=wcss, n_iterations=iteration)
@@ -278,17 +322,17 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
         counts[j] = members.sum()
         sums[:, j] = distances[:, members].sum(axis=1)
 
-    scores = np.zeros(n)
-    label_pos = np.searchsorted(cluster_ids, labels)
-    for i in range(n):
-        own = label_pos[i]
-        if counts[own] <= 1:
-            continue  # silhouette undefined for singletons
-        a = sums[i, own] / (counts[own] - 1)
-        other = [j for j in range(cluster_ids.shape[0]) if j != own]
-        b = np.min(sums[i, other] / counts[other])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    rows = np.arange(n)
+    own = np.searchsorted(cluster_ids, labels)
+    own_counts = counts[own]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, own] / (own_counts - 1)
+        mean_to = sums / counts
+        mean_to[rows, own] = np.inf
+        b = mean_to.min(axis=1)
+        denom = np.maximum(a, b)
+        # The silhouette is undefined for singletons; they contribute 0.
+        scores = np.where((own_counts > 1) & (denom != 0.0), (b - a) / denom, 0.0)
     return float(np.mean(scores))
 
 
@@ -306,19 +350,32 @@ def _shuffle_columns(embeddings: np.ndarray, rng: np.random.Generator) -> np.nda
     return shuffled
 
 
-def permutation_test(embeddings: np.ndarray, k: int, n_permutations: int, seed: int) -> PermutationTestResult:
+def permutation_test(
+    embeddings: np.ndarray,
+    k: int,
+    n_permutations: int,
+    seed: int,
+    embedded: np.ndarray | None = None,
+) -> PermutationTestResult:
     """Observed vs column-shuffled clustering scores.
 
     The score is the mean silhouette of the spectral clustering measured in
     its own spectral embedding; p is the exact exceedance fraction
     count(s_i >= s_obs) / N with no continuity correction (see
-    `PermutationTestResult.smoothed_p` for the add-one variant).
+    `PermutationTestResult.smoothed_p` for the add-one variant).  A caller
+    that already holds the k-column spectral embedding of `embeddings` passes
+    it as `embedded`, which skips the observed eigensolve; the scores are the
+    same.
     """
     if n_permutations < 1:
         raise ClusteringError("need at least one permutation")
     embeddings = np.asarray(embeddings, dtype=np.float64)
 
-    assignment, embedded = spectral_cluster(embeddings, k, derive_seed(seed, "observed"))
+    observed_seed = derive_seed(seed, "observed")
+    if embedded is None:
+        assignment, embedded = spectral_cluster(embeddings, k, observed_seed)
+    else:
+        assignment = best_kmeans(embedded, k, observed_seed)
     s_obs = silhouette_score(embedded, assignment.labels)
 
     s_perm = np.empty(n_permutations)

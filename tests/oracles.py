@@ -5,8 +5,10 @@ oracle enumerates basic solutions directly, the Shapley oracle enumerates
 feature subsets, the exact TreeSHAP oracle runs the per-row recursion that
 the leaf tables replace, the boosting oracle sorts every feature at every
 node and refits by walking each finished tree, the grouped treatment-effect
-oracle aggregates per-row effects by group itself, and the clustering
-metrics are computed from first principles.
+oracle aggregates per-row effects by group itself, the k-means oracle assigns
+points through the full (n, k, d) distance array and averages each cluster's
+members picked by a boolean mask, the silhouette oracle scores one row at a
+time, and the clustering metrics are computed from first principles.
 """
 
 from __future__ import annotations
@@ -382,6 +384,75 @@ def reference_grouped_estimate(method, data, groups, n_boot, seed, config=None, 
     if n_boot:
         ci = causal.percentile_bootstrap_mean(by_group, n_boot, 0.95, seed)
     return float(np.clip(by_group.mean(), -1, 1)), *ci
+
+
+def reference_kmeans(points: np.ndarray, k: int, seed: int):
+    """Lloyd iterations with the exact (n, k, d) broadcast assignment: the
+    labels, centroids, wcss and iteration count `spectral.kmeans` must
+    reproduce bit for bit.  Only the k-means++ seeding is shared with it."""
+    from ecoprod import spectral
+
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[:, None]
+    n = points.shape[0]
+    centroids = spectral._kmeans_pp_init(points, k, np.random.default_rng(seed))
+    labels = np.full(n, -1, dtype=np.int64)
+    iteration = 0
+    for iteration in range(1, spectral.KMEANS_MAX_ITER + 1):
+        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        point_sq = d2[np.arange(n), new_labels]
+        empties = [c for c in range(k) if not np.any(new_labels == c)]
+        if empties:
+            order = np.argsort(-point_sq, kind="stable")
+            for slot, c in enumerate(empties):
+                idx = int(order[slot])
+                centroids[c] = points[idx]
+                new_labels[idx] = c
+                point_sq[idx] = 0.0
+        converged = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if converged:
+            break
+        for c in range(k):
+            members = points[labels == c]
+            if members.shape[0]:
+                centroids[c] = members.mean(axis=0)
+    wcss = float(np.sum((points - centroids[labels]) ** 2))
+    return spectral.ClusterAssignment(labels=labels, centroids=centroids.copy(), wcss=wcss, n_iterations=iteration)
+
+
+def reference_silhouette(points: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette, one row at a time; singletons and rows with
+    max(a, b) = 0 score 0."""
+    from ecoprod import spectral
+
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    cluster_ids = np.unique(labels)
+    if cluster_ids.shape[0] < 2:
+        return 0.0
+    distances = np.sqrt(spectral._pairwise_sq_dists(points))
+    n = points.shape[0]
+    sums = np.empty((n, cluster_ids.shape[0]))
+    counts = np.empty(cluster_ids.shape[0])
+    for j, c in enumerate(cluster_ids):
+        members = labels == c
+        counts[j] = members.sum()
+        sums[:, j] = distances[:, members].sum(axis=1)
+    scores = np.zeros(n)
+    label_pos = np.searchsorted(cluster_ids, labels)
+    for i in range(n):
+        own = label_pos[i]
+        if counts[own] <= 1:
+            continue
+        a = sums[i, own] / (counts[own] - 1)
+        other = [j for j in range(cluster_ids.shape[0]) if j != own]
+        b = np.min(sums[i, other] / counts[other])
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(np.mean(scores))
 
 
 def adjusted_rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:

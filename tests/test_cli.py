@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ecoprod import causal, cli, gbm, treeshap
+from ecoprod import causal, cli, gbm, spectral, treeshap
 from ecoprod.seeding import derive_seed
 
 
@@ -290,13 +290,37 @@ def test_config_error_exits_2_before_any_stage(fixture_dir, tmp_path, capsys, ke
     assert not (tmp_path / "bad_run").exists()
 
 
-@pytest.mark.parametrize("flag,value,key", [("--k", "0", "cluster.k"), ("--kmax", "2", "cluster.k_max")])
-def test_cluster_count_flag_out_of_range_exits_2(fixture_dir, tmp_path, capsys, flag, value, key):
+@pytest.mark.parametrize("flag,value,key", [
+    ("--k", "0", "cluster.k"), ("--kmax", "2", "cluster.k_max"),
+    # more clusters than the fixture's 160 complaints
+    ("--k", "161", "cluster.k"), ("--kmax", "161", "cluster.k_max"),
+])
+def test_cluster_count_flag_out_of_range_exits_2(fixture_dir, tmp_path, capsys, monkeypatch, flag, value, key):
+    def no_curve(*args):
+        raise AssertionError("the elbow curve ran")
+
+    monkeypatch.setattr(spectral, "wcss_curve", no_curve)
     out = tmp_path / "cluster"
     rc = cli.main(["cluster", "--complaints", str(fixture_dir / "complaints.jsonl"), "--out", str(out), flag, value])
     assert rc == 2
-    assert f"{key} must" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{key} must" in err and value in err
     assert not out.exists()
+
+
+def test_cluster_stage_solves_the_observed_embedding_once(fixture_dir, tmp_path, monkeypatch):
+    # The permutation test reuses the stage's own spectral embedding, so only
+    # each shuffled replicate needs another eigensolve.
+    calls = []
+    original = spectral.spectral_embed
+
+    def counting(lap, k, row_normalize=True):
+        calls.append(k)
+        return original(lap, k, row_normalize)
+
+    monkeypatch.setattr(spectral, "spectral_embed", counting)
+    cli.stage_cluster(fixture_dir / "complaints.jsonl", cli.ClusterOptions(k=3, permutations=4), 11, tmp_path)
+    assert calls == [3] * (1 + 4)
 
 
 def test_unknown_covariate_flag_exits_2(fixture_dir, tmp_path, capsys):

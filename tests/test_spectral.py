@@ -8,7 +8,7 @@ from ecoprod.dataset import ComplaintRecord, ResponseLabel
 from ecoprod.dea import EcoGroup
 from ecoprod.errors import ClusteringError, DegenerateSimilarityError, IsolatedVertexError
 
-from oracles import adjusted_rand_index
+from oracles import adjusted_rand_index, reference_kmeans, reference_silhouette
 
 
 # --- similarity -------------------------------------------------------------
@@ -35,6 +35,20 @@ def test_similarity_symmetric_unit_diagonal():
     assert np.array_equal(sim.matrix, sim.matrix.T)
     assert np.array_equal(np.diag(sim.matrix), np.ones(20))
     assert sim.matrix.min() >= 0.0 and sim.matrix.max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 7, 30])  # odd and even pair counts
+def test_similarity_and_laplacian_match_direct_formulas(n):
+    points = np.random.default_rng(n).standard_normal((n, 3))
+    d2 = spectral._pairwise_sq_dists(points)
+    sim = spectral.similarity(points)
+    assert sim.bandwidth == float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    adjacency = sim.matrix.copy()
+    np.fill_diagonal(adjacency, 0.0)
+    inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=1))
+    lap = -adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
+    np.fill_diagonal(lap, 1.0)
+    assert np.array_equal(spectral.normalized_laplacian(sim).matrix, 0.5 * (lap + lap.T))
 
 
 # --- normalized Laplacian ---------------------------------------------------
@@ -157,6 +171,87 @@ def test_kmeans_deterministic_per_seed():
     assert np.array_equal(a.centroids, b.centroids)
 
 
+def _grid(side, dim):
+    axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * dim, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+# Two distinct values and k = 3: the third k-means++ centroid repeats one of
+# the first two, so the first assignment leaves a cluster empty.
+TWO_VALUES = np.repeat([[0.0], [1.0]], 5, axis=0)
+
+
+def _kmeans_oracle_cases():
+    rng = np.random.default_rng(23)
+    cases = [
+        pytest.param(1e8 + 0.3 + _grid(5, 2), 4, id="exact ties, 1e8 offset"),
+        pytest.param(_grid(4, 3), 5, id="exact ties"),
+        pytest.param(rng.integers(0, 4, (60, 3)).astype(np.float64), 5, id="integer grid with duplicates"),
+        pytest.param(np.repeat(rng.standard_normal((10, 4)), 6, axis=0), 7, id="duplicate rows"),
+        pytest.param(1e8 + rng.standard_normal((80, 5)), 6, id="1e8 offset, unit noise"),
+        pytest.param(rng.random(40), 2, id="d = 1"),
+        pytest.param(rng.random((40, 1)), 3, id="d = 1 column"),
+        pytest.param(rng.standard_normal((30, 3)), 1, id="k = 1"),
+        pytest.param(rng.standard_normal((12, 3)), 12, id="k = n"),
+        pytest.param(TWO_VALUES, 3, id="empty-cluster re-seed"),
+    ]
+    for i in range(12):
+        n, d, k = int(rng.integers(20, 90)), int(rng.integers(1, 20)), int(rng.integers(2, 13))
+        cases.append(pytest.param(rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0), k, id=f"random {i}"))
+    return cases
+
+
+@pytest.mark.parametrize("points,k", _kmeans_oracle_cases())
+def test_gemm_kmeans_matches_broadcast_oracle(points, k):
+    for seed in (0, 1, 2):
+        got = spectral.kmeans(points, k, seed)
+        want = reference_kmeans(points, k, seed)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.wcss == want.wcss
+        assert got.n_iterations == want.n_iterations
+
+
+def test_empty_cluster_case_reaches_reseed():
+    for seed in (0, 1, 2):
+        init = spectral._kmeans_pp_init(TWO_VALUES, 3, np.random.default_rng(seed))
+        assert np.unique(init, axis=0).shape[0] < 3
+
+
+def test_gemm_assignment_falls_back_to_exact_on_ties():
+    # Grid points 1e8 from the origin: the exact differences are small
+    # integers, so points midway between centroids tie exactly, while the
+    # GEMM form's ||x||^2 ~ 2e16 rounds the gaps away (the 0.3 keeps the
+    # squares from being exact).  The labels must be the exact expression's
+    # first minimum, which plain GEMM misses here.
+    points = 1e8 + 0.3 + _grid(5, 2)
+    centroids = 1e8 + 0.3 + np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
+    norms_sq = np.einsum("ij,ij->i", points, points)
+    labels = spectral._nearest_centroids(points, norms_sq, centroids)
+    exact = np.argmin(np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2), axis=1)
+    gemm = np.argmin(norms_sq[:, None] - 2.0 * points @ centroids.T + np.sum(centroids**2, axis=1), axis=1)
+    assert np.array_equal(labels, exact)
+    assert not np.array_equal(gemm, exact)
+
+
+def _silhouette_cases():
+    rng = np.random.default_rng(24)
+    points = rng.standard_normal((30, 3))
+    duplicated = np.repeat(rng.standard_normal((4, 2)), 3, axis=0)
+    return [
+        pytest.param(points, np.array([0] * 12 + [1] * 15 + [2, 3, 4]), id="singletons"),
+        pytest.param(np.zeros((6, 2)), np.array([0, 0, 0, 5, 5, 5]), id="duplicate points, a = b = 0"),
+        pytest.param(duplicated, np.array([0, 0, 1, 1, 1, 2, 2, 2, 0, 3, 3, 3]), id="duplicates across clusters"),
+        pytest.param(points, rng.choice([-3, 2, 7, 40], 30), id="label ids not contiguous"),
+        pytest.param(rng.standard_normal((50, 4)), rng.integers(0, 6, 50), id="random"),
+    ]
+
+
+@pytest.mark.parametrize("points,labels", _silhouette_cases())
+def test_vectorized_silhouette_matches_oracle(points, labels):
+    assert spectral.silhouette_score(points, labels) == reference_silhouette(points, labels)
+
+
 # --- elbow ------------------------------------------------------------------
 
 
@@ -212,6 +307,18 @@ def test_permutation_test_separated_clusters_significant():
     result = spectral.permutation_test(points, 3, n_permutations=19, seed=16)
     assert result.p == 0.0
     assert result.s_obs > max(result.s_perm)
+
+
+def test_permutation_test_reuses_given_embedding():
+    rng = np.random.default_rng(25)
+    centers = np.array([[0.0] * 5, [6.0] * 5, [0.0] * 3 + [6.0] * 2])
+    points = centers[rng.integers(0, 3, 60)] + rng.standard_normal((60, 5))
+    embedded = spectral.spectral_embed(spectral.normalized_laplacian(spectral.similarity(points)), 3)
+    shared = spectral.permutation_test(points, 3, 4, 26, embedded=embedded)
+    fresh = spectral.permutation_test(points, 3, 4, 26)
+    assert shared.s_obs == fresh.s_obs
+    assert np.array_equal(shared.s_perm, fresh.s_perm)
+    assert shared.p == fresh.p
 
 
 # --- silhouette -------------------------------------------------------------
