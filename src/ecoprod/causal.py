@@ -41,12 +41,12 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
+from . import gbm
 from .dataset import calibrate_treatment_shift
 from .errors import BootstrapError, CausalError, EcoprodError, TrainingDivergenceError
 from .gbm import (
     TrainConfig,
     predict_proba,
-    predict_value,
     stratified_folds,
     train_classifier,
     train_regressor,
@@ -259,7 +259,10 @@ def x_learner_effects(data: CausalDataset, config: TrainConfig = DEFAULT_BASE_CO
     tau0 = train_regressor(x0, imputed_control, config)
 
     g = propensity(data)
-    return g * predict_value(tau0, data.covariates) + (1.0 - g) * predict_value(tau1, data.covariates)
+    # called through the module, whose attribute perfbench/tracing.py wraps
+    effect0 = gbm.predict_margin(tau0, data.covariates)
+    effect1 = gbm.predict_margin(tau1, data.covariates)
+    return g * effect0 + (1.0 - g) * effect1
 
 
 def x_learner_point(data: CausalDataset, config: TrainConfig = DEFAULT_BASE_CONFIG) -> float:

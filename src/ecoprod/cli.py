@@ -204,10 +204,11 @@ def stage_cluster(
     assignment, embedded = spectral.spectral_cluster(embeddings, k, derive_seed(seed, "cluster"))
     if options.k is not None:
         wcss_report = {str(k): assignment.wcss}
-    silhouette = spectral.silhouette_score(embedded, assignment.labels)
     perm = spectral.permutation_test(
-        embeddings, k, options.permutations, derive_seed(seed, "perm"), embedded=embedded
+        embeddings, k, options.permutations, derive_seed(seed, "perm"),
+        observed=(embedded, assignment.labels),
     )
+    silhouette = perm.s_obs
 
     clustered = [c.with_cluster(int(label)) for c, label in zip(complaints, assignment.labels)]
     rates = spectral.coproduction_rate_by_cluster(clustered, n_clusters=k)

@@ -18,14 +18,29 @@ ascending order of feature f, ties in ascending row index.  When a node
 splits, each child keeps the entries of the parent's block that fall on its
 side, picked by a boolean mask, so every block row stays sorted by (value,
 row index).  A node's block is therefore exactly what a stable argsort of
-the node's rows (held in ascending order) would give, and the search scores
-all features at once with prefix sums along each block row.  The result is
-bit-identical to sorting at every node: the same rows are summed in the same
-order (prefix sums run along each row; node totals run over the node's rows
-in ascending order), and the tie-break is unchanged (first boundary, then
-first feature; only a strictly greater gain wins; a gain must exceed 1e-12;
-a feature whose best gain is NaN is skipped).  Each leaf adds its weight to
-the round's update vector as it is grown, so no tree walk follows a round.
+the node's rows (held in ascending order) would give.  The children of a
+node one level above `max_depth` are leaves and get no block.
+
+A node's candidate boundaries are the block positions after which the value
+rises and where both sides keep a cover of at least `min_child_cover`.
+Neither the matrix nor the cover weights change during a fit, so the root's
+sorted values and candidates (its "view") are found once per fit, not once
+per round; other nodes find theirs from their block.  The search then
+gathers the prefix sums of g and h at the candidates only, feature-major,
+and scores the gain formula there.
+
+The result is bit-identical to sorting at every node: the same rows are
+summed in the same order (prefix sums run along each block row; node totals
+are 1-D sums over the node's rows in ascending order), and the tie-break is
+unchanged.  One argmax over the feature-major candidates returns the first
+maximum: the first feature among those with the best gain, at its first
+best boundary, which is what a per-feature argmax followed by an argmax
+over features gives.  A gain must exceed 1e-12.  A feature with a NaN gain
+(0/0 at an empty-hessian boundary when lambda is 0) is skipped, as it is
+when its own argmax picks the NaN.  The flat argmax also returns the first
+NaN, so only then are the gains of every feature holding a NaN set to -inf
+and the argmax taken again.  Each leaf adds its weight to the round's
+update vector as it is grown, so no tree walk follows a round.
 
 Trees route strictly-less-than-threshold to the left child and record the
 training sample count as the node cover, which the Shapley attribution pass
@@ -184,102 +199,109 @@ def predict_proba(model: BoostedModel, x_matrix: np.ndarray) -> np.ndarray:
     return np.clip(1.0 / (1.0 + np.exp(-margins)), PROBABILITY_CLAMP, 1.0 - PROBABILITY_CLAMP)
 
 
-def predict_value(model: BoostedModel, x_matrix: np.ndarray) -> np.ndarray:
-    """Raw additive prediction, the natural output of a squared-loss model."""
-    return predict_margin(model, x_matrix)
+class _Presorted:
+    """One fit's training matrix, presorted for split search.
 
+    `block` is the presorted block: row f lists the rows by ascending feature
+    f, ties by ascending row index.  Neither `x` nor the cover weights change
+    during a fit, so the root's sorted values and candidate boundaries are
+    found once here (`root`) and reused by every round."""
 
-def _column_blocks(x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feature-major copy of the matrix and its presorted block: row f of the
-    (features x rows) block lists the rows by ascending feature f, ties by
-    ascending row index."""
-    x_columns = np.ascontiguousarray(x_matrix.T)
-    return x_columns, np.argsort(x_columns, axis=1, kind="stable")
+    def __init__(self, x_matrix: np.ndarray, weights: np.ndarray, min_child_cover: float):
+        self.columns = np.ascontiguousarray(x_matrix.T)
+        n_features, n = self.columns.shape
+        self.offsets = np.arange(n_features)[:, None] * n  # start of feature f in columns.ravel()
+        self.weights = weights
+        self.min_child_cover = min_child_cover
+        self.rows = np.arange(n)
+        self.block = np.argsort(self.columns, axis=1, kind="stable")
+        self.root = self.boundaries(self.rows, self.block)
+
+    def boundaries(self, rows: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The node's sorted values (features x rows) and the flat positions in
+        them of its candidate boundaries: the value rises after the position,
+        and both sides keep a cover of at least `min_child_cover`."""
+        xs = self.columns.ravel()[block + self.offsets]
+        left_cover = np.cumsum(self.weights[block], axis=1)
+        right_cover = self.weights[rows].sum() - left_cover
+        candidate = (left_cover >= self.min_child_cover) & (right_cover >= self.min_child_cover)
+        candidate[:, :-1] &= xs[:, 1:] > xs[:, :-1]
+        candidate[:, -1] = False
+        return xs, np.flatnonzero(candidate)
 
 
 def _best_split(
-    x_columns: np.ndarray,
     rows: np.ndarray,
     block: np.ndarray,
+    view: tuple[np.ndarray, np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
-    counts_weight: np.ndarray,
     reg_lambda: float,
-    min_child_cover: float,
 ) -> tuple[float, int, float] | None:
-    """Exact greedy search over all features at once on the node's sorted
-    block; returns (gain, feature, threshold)."""
+    """Exact greedy search over all features at once, scoring only the
+    candidate boundaries of the node's `view`; returns (gain, feature,
+    threshold)."""
+    xs, candidates = view
+    if candidates.shape[0] == 0:
+        return None
     g_total = g[rows].sum()
     h_total = h[rows].sum()
-    cover_total = counts_weight[rows].sum()
-    parent_score = g_total * g_total / (h_total + reg_lambda)
-
-    xs = np.take_along_axis(x_columns, block, axis=1)
-    gs = np.cumsum(g[block], axis=1)[:, :-1]
-    hs = np.cumsum(h[block], axis=1)[:, :-1]
-    left_cover = np.cumsum(counts_weight[block], axis=1)[:, :-1]
-    right_cover = cover_total - left_cover
-    candidate = (
-        (np.diff(xs, axis=1) > 0)
-        & (left_cover >= min_child_cover)
-        & (right_cover >= min_child_cover)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):  # non-candidates are discarded
+    gs = np.cumsum(g[block], axis=1).ravel()[candidates]
+    hs = np.cumsum(h[block], axis=1).ravel()[candidates]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN gain is handled below
+        parent_score = g_total * g_total / (h_total + reg_lambda)
         gains = 0.5 * (
             gs * gs / (hs + reg_lambda)
             + (g_total - gs) ** 2 / (h_total - hs + reg_lambda)
             - parent_score
         )
-    gains[~candidate] = -np.inf
-    picks = np.argmax(gains, axis=1)  # first max wins; a NaN max is picked and fails below
-    feature_gains = gains[np.arange(gains.shape[0]), picks]
-    eligible = feature_gains > 1e-12
-    if not np.any(eligible):
+    best = int(np.argmax(gains))  # feature-major: first boundary, then first feature
+    if np.isnan(gains[best]):  # argmax picks the first NaN: skip every feature with one
+        features = candidates // block.shape[1]
+        gains[np.isin(features, features[np.isnan(gains)])] = -np.inf
+        best = int(np.argmax(gains))
+    if not gains[best] > 1e-12:
         return None
-    feature = int(np.argmax(np.where(eligible, feature_gains, -np.inf)))  # first best feature
-    b = picks[feature]
-    threshold = 0.5 * (xs[feature, b] + xs[feature, b + 1])
-    return float(feature_gains[feature]), feature, float(threshold)
+    position = candidates[best]
+    threshold = 0.5 * (xs.flat[position] + xs.flat[position + 1])
+    return float(gains[best]), int(position // block.shape[1]), float(threshold)
 
 
 def _grow_tree(
-    x_columns: np.ndarray,
+    data: _Presorted,
     rows: np.ndarray,
-    block: np.ndarray,
+    block: np.ndarray | None,
+    view: tuple[np.ndarray, np.ndarray] | None,
     g: np.ndarray,
     h: np.ndarray,
-    counts_weight: np.ndarray,
     config: TrainConfig,
     depth: int,
     update: np.ndarray,
 ) -> TreeNode:
-    """Grow the subtree over `rows` (ascending) with sorted block `block`;
-    each leaf adds its weight to `update` at its rows."""
-    cover = float(counts_weight[rows].sum())
-    split = (
-        _best_split(
-            x_columns, rows, block, g, h, counts_weight, config.reg_lambda, config.min_child_cover
-        )
-        if depth < config.max_depth and rows.shape[0] > 1
-        else None
-    )
+    """Grow the subtree over `rows` (ascending) with sorted block `block`
+    (None at `max_depth`) and, if already known, its boundary `view`; each
+    leaf adds its weight to `update` at its rows."""
+    cover = float(data.weights[rows].sum())
+    split = None
+    if depth < config.max_depth and rows.shape[0] > 1:
+        if view is None:
+            view = data.boundaries(rows, block)
+        split = _best_split(rows, block, view, g, h, config.reg_lambda)
     if split is None:
         weight = float(-g[rows].sum() / (h[rows].sum() + config.reg_lambda))
         update[rows] += weight
         return TreeNode(cover=cover, weight=weight)
     _, feature, threshold = split
-    goes_left = x_columns[feature] < threshold
-    in_left = goes_left[block]
-    n_features = block.shape[0]
+    goes_left = data.columns[feature] < threshold
+    left = goes_left[rows]
+    left_block = right_block = None
+    if depth + 1 < config.max_depth:  # leaf children need only their rows
+        in_left = goes_left[block]
+        left_block = block[in_left].reshape(block.shape[0], -1)
+        right_block = block[~in_left].reshape(block.shape[0], -1)
     node = TreeNode(cover=cover, feature=feature, threshold=threshold)
-    node.left = _grow_tree(
-        x_columns, rows[goes_left[rows]], block[in_left].reshape(n_features, -1),
-        g, h, counts_weight, config, depth + 1, update,
-    )
-    node.right = _grow_tree(
-        x_columns, rows[~goes_left[rows]], block[~in_left].reshape(n_features, -1),
-        g, h, counts_weight, config, depth + 1, update,
-    )
+    node.left = _grow_tree(data, rows[left], left_block, None, g, h, config, depth + 1, update)
+    node.right = _grow_tree(data, rows[~left], right_block, None, g, h, config, depth + 1, update)
     return node
 
 
@@ -320,20 +342,19 @@ def train_classifier(
         objective="logistic",
     )
     n = x_matrix.shape[0]
-    counts_weight = np.ones(n)
-    rows = np.arange(n)
-    x_columns, block = _column_blocks(x_matrix)
+    data = _Presorted(x_matrix, np.ones(n), config.min_child_cover)
     margins = np.full(n, model.base_score)
-    loss = _logistic_loss(y, 1.0 / (1.0 + np.exp(-margins)))
+    p = 1.0 / (1.0 + np.exp(-margins))
+    loss = _logistic_loss(y, p)
     for round_index in range(config.rounds):
-        p = 1.0 / (1.0 + np.exp(-margins))
         g = p - y
         h = p * (1.0 - p)
         update = np.zeros(n)
-        tree = _grow_tree(x_columns, rows, block, g, h, counts_weight, config, 0, update)
+        tree = _grow_tree(data, data.rows, data.block, data.root, g, h, config, 0, update)
         model.trees.append(tree)
         margins = margins + config.eta * update
-        new_loss = _logistic_loss(y, 1.0 / (1.0 + np.exp(-margins)))
+        p = 1.0 / (1.0 + np.exp(-margins))
+        new_loss = _logistic_loss(y, p)
         if new_loss > loss + LOSS_INCREASE_TOL * max(1.0, abs(loss)):
             raise TrainingError(
                 f"training loss increased at round {round_index}: {loss} -> {new_loss}"
@@ -363,14 +384,13 @@ def train_regressor(
         trees=[], eta=config.eta, base_score=float(np.average(y, weights=weights)),
         feature_names=tuple(feature_names), objective="squared",
     )
-    rows = np.arange(n)
-    x_columns, block = _column_blocks(x_matrix)
+    data = _Presorted(x_matrix, weights, config.min_child_cover)
     preds = np.full(n, model.base_score)
     for _ in range(config.rounds):
         g = weights * (preds - y)
         h = weights.copy()
         update = np.zeros(n)
-        tree = _grow_tree(x_columns, rows, block, g, h, weights, config, 0, update)
+        tree = _grow_tree(data, data.rows, data.block, data.root, g, h, config, 0, update)
         model.trees.append(tree)
         preds = preds + config.eta * update
     return model

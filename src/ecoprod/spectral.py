@@ -355,7 +355,7 @@ def permutation_test(
     k: int,
     n_permutations: int,
     seed: int,
-    embedded: np.ndarray | None = None,
+    observed: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PermutationTestResult:
     """Observed vs column-shuffled clustering scores.
 
@@ -363,20 +363,19 @@ def permutation_test(
     its own spectral embedding; p is the exact exceedance fraction
     count(s_i >= s_obs) / N with no continuity correction (see
     `PermutationTestResult.smoothed_p` for the add-one variant).  A caller
-    that already holds the k-column spectral embedding of `embeddings` passes
-    it as `embedded`, which skips the observed eigensolve; the scores are the
-    same.
+    that already holds a clustering of `embeddings` passes it as `observed`,
+    its k-column spectral embedding and its labels; s_obs is then that
+    clustering's score, and no observed eigensolve or k-means runs.  Without
+    it the observed clustering is computed here.
     """
     if n_permutations < 1:
         raise ClusteringError("need at least one permutation")
     embeddings = np.asarray(embeddings, dtype=np.float64)
 
-    observed_seed = derive_seed(seed, "observed")
-    if embedded is None:
-        assignment, embedded = spectral_cluster(embeddings, k, observed_seed)
-    else:
-        assignment = best_kmeans(embedded, k, observed_seed)
-    s_obs = silhouette_score(embedded, assignment.labels)
+    if observed is None:
+        assignment, embedded = spectral_cluster(embeddings, k, derive_seed(seed, "observed"))
+        observed = embedded, assignment.labels
+    s_obs = silhouette_score(*observed)
 
     s_perm = np.empty(n_permutations)
     for i in range(n_permutations):

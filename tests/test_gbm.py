@@ -7,6 +7,7 @@ import pytest
 from ecoprod import gbm
 from ecoprod.errors import DegenerateSplitError, TrainingError
 
+import oracles
 from oracles import adjusted_rand_index, reference_boosted_classifier, reference_boosted_regressor
 
 
@@ -165,12 +166,74 @@ def test_presorted_blocks_match_per_node_sort_oracle(name):
         assert loose["trees"] != expected["trees"]
 
 
+def _fuzz_case(index):
+    """A small seeded fit that varies what split search must get right:
+    tied, constant and continuous columns, depths 1-4, no cover floor or a
+    binding one, and in half the cases `reg_lambda` 0 with zero regressor
+    weights, whose empty-hessian boundaries give NaN gains."""
+    rng = np.random.default_rng([7, index])
+    n, n_features = int(rng.integers(6, 40)), int(rng.integers(1, 5))
+    kind = index % 3
+    if kind == 0:
+        x = rng.integers(0, 3, (n, n_features)).astype(float)
+    elif kind == 1:
+        x = np.round(rng.standard_normal((n, n_features)), 1)
+    else:
+        x = rng.standard_normal((n, n_features))
+    x[:, rng.integers(0, n_features)] = 1.5 if rng.random() < 0.3 else x[:, 0]
+    y = (x[:, 0] + rng.standard_normal(n) > 0).astype(float)
+    y[:2] = (0.0, 1.0)
+    floor = 0.0 if index % 2 else float(rng.integers(2, max(3, n // 3)))
+    weights = None
+    reg_lambda = 1.0
+    if index % 4 < 2:
+        weights = rng.choice([0.0, 1.0, 2.0], n)
+        weights[0] = 1.0
+        reg_lambda = 0.0
+    config = gbm.TrainConfig(
+        rounds=3, max_depth=1 + index // 4 % 4, eta=0.5, reg_lambda=reg_lambda,
+        min_child_cover=floor,
+    )
+    return x, y, x @ np.arange(1.0, n_features + 1.0) + rng.standard_normal(n), weights, config
+
+
+FUZZ_CASES = 200
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in.*divide:RuntimeWarning")
+def test_split_search_matches_oracle_on_random_fits(monkeypatch):
+    flags = []
+    reference_split = oracles._reference_split
+
+    def flagging_split(*args):
+        # the oracle divides without suppressing warnings, so a NaN gain at a
+        # boundary raises the "invalid" flag; with no cover floor and integer
+        # weights every boundary is a candidate
+        with np.errstate(invalid="call", call=lambda *_: flags.append(1)):
+            return reference_split(*args)
+
+    monkeypatch.setattr(oracles, "_reference_split", flagging_split)
+    nan_cases = 0
+    for index in range(FUZZ_CASES):
+        x, y, target, weights, config = _fuzz_case(index)
+        classifier = gbm.train_classifier(x, y, config)
+        expected, losses = reference_boosted_classifier(x, y, config)
+        assert json.dumps(gbm.model_to_json(classifier)) == json.dumps(expected), index
+        assert classifier.training_loss == losses, index
+        flags.clear()
+        regressor = gbm.train_regressor(x, target, config, sample_weight=weights)
+        expected = reference_boosted_regressor(x, target, config, sample_weight=weights)
+        assert json.dumps(gbm.model_to_json(regressor)) == json.dumps(expected), index
+        nan_cases += bool(flags) and config.min_child_cover == 0.0
+    assert nan_cases >= 20
+
+
 def test_regressor_fits_smooth_target():
     rng = np.random.default_rng(3)
     x = rng.uniform(-2, 2, (300, 2))
     y = x[:, 0] * 1.5 - 0.5 * x[:, 1]
     model = gbm.train_regressor(x, y, gbm.TrainConfig(rounds=80, max_depth=3, eta=0.2))
-    preds = gbm.predict_value(model, x)
+    preds = gbm.predict_margin(model, x)
     assert float(np.mean((preds - y) ** 2)) < 0.05
 
 

@@ -7,6 +7,7 @@ from ecoprod import spectral
 from ecoprod.dataset import ComplaintRecord, ResponseLabel
 from ecoprod.dea import EcoGroup
 from ecoprod.errors import ClusteringError, DegenerateSimilarityError, IsolatedVertexError
+from ecoprod.seeding import derive_seed
 
 from oracles import adjusted_rand_index, reference_kmeans, reference_silhouette
 
@@ -313,12 +314,17 @@ def test_permutation_test_reuses_given_embedding():
     rng = np.random.default_rng(25)
     centers = np.array([[0.0] * 5, [6.0] * 5, [0.0] * 3 + [6.0] * 2])
     points = centers[rng.integers(0, 3, 60)] + rng.standard_normal((60, 5))
-    embedded = spectral.spectral_embed(spectral.normalized_laplacian(spectral.similarity(points)), 3)
-    shared = spectral.permutation_test(points, 3, 4, 26, embedded=embedded)
+    assignment, embedded = spectral.spectral_cluster(points, 3, derive_seed(26, "observed"))
+    shared = spectral.permutation_test(points, 3, 4, 26, observed=(embedded, assignment.labels))
     fresh = spectral.permutation_test(points, 3, 4, 26)
     assert shared.s_obs == fresh.s_obs
     assert np.array_equal(shared.s_perm, fresh.s_perm)
     assert shared.p == fresh.p
+    # the score is the given clustering's, whatever k-means would find
+    other = np.roll(assignment.labels, 1)
+    moved = spectral.permutation_test(points, 3, 4, 26, observed=(embedded, other))
+    assert moved.s_obs == spectral.silhouette_score(embedded, other) < shared.s_obs
+    assert np.array_equal(moved.s_perm, fresh.s_perm)
 
 
 # --- silhouette -------------------------------------------------------------
