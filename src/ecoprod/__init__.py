@@ -12,7 +12,6 @@ from .dataset import (
     ColumnSchema,
     ComplaintRecord,
     FeatureMatrix,
-    FeaturePlan,
     GroundTruth,
     ProvinceRecord,
     ResponseLabel,
@@ -33,7 +32,6 @@ __all__ = [
     "DeaScores",
     "EcoGroup",
     "FeatureMatrix",
-    "FeaturePlan",
     "GroundTruth",
     "LinearProgram",
     "LpSolution",

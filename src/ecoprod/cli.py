@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import sys
@@ -55,48 +56,34 @@ def _read_artifact(path: Path, parsers: dict[str, typing.Callable], keys: list) 
     line and the column."""
     first = next(iter(parsers))
     rows: dict = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in parsers if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"{path}: line 1: missing column {missing[0]!r}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            values = []
-            for column, parse in parsers.items():
-                try:
-                    values.append(parse(row[column]))
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{where}: bad value {row[column]!r} in column {column!r}") from None
-            if values[0] in rows:
-                raise ConfigError(f"{where}: repeated value {values[0]} in column {first!r}")
-            rows[values[0]] = values[1:]
+    try:
+        reader = csv.DictReader(io.StringIO(ds.read_text(path), newline=""))
+    except IngestionError as exc:
+        raise ConfigError(str(exc)) from None
+    missing = [c for c in parsers if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path}: line 1: missing column {missing[0]!r}")
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        values = []
+        for column, parse in parsers.items():
+            try:
+                values.append(parse(row[column]))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: bad value {row[column]!r} in column {column!r}") from None
+        if values[0] in rows:
+            raise ConfigError(f"{where}: repeated value {values[0]} in column {first!r}")
+        rows[values[0]] = values[1:]
     missing = [key for key in keys if key not in rows]
     if missing:
         raise ConfigError(f"{path}: no row with {missing[0]} in column {first!r}")
     return rows
 
 
-def _province_schema(path: Path) -> ds.ColumnSchema:
-    """The schema the header of provinces.csv declares; reads the header only."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), [])
-    try:
-        return ds.infer_schema(header)
-    except IngestionError as exc:
-        raise IngestionError(f"{path}: {exc}") from None
-
-
-def _load_provinces(path: Path) -> tuple[list[ds.ProvinceRecord], ds.ColumnSchema]:
-    """provinces.csv under the schema its header declares."""
-    schema = _province_schema(path)
-    return ds.load_provinces(path, schema), schema
-
-
 def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None:
     """A ConfigError naming causal.covariates for a name that neither a
     complaint nor the header of provinces.csv supplies."""
-    known = (*COMPLAINT_COVARIATES, *ds.province_feature_names(_province_schema(provinces_path)))
+    known = ds.feature_names(ds.province_schema(provinces_path))
     unknown = [name for name in covariates if name not in known]
     if unknown:
         raise ConfigError(
@@ -105,20 +92,33 @@ def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None
         )
 
 
-def _load_scored_provinces(
-    provinces_path: Path, scores_path: Path
-) -> tuple[list[ds.ProvinceRecord], ds.ColumnSchema]:
-    """Provinces with eco scores and groups attached from dea_scores.csv."""
-    provinces, schema = _load_provinces(provinces_path)
-    scores = _read_artifact(scores_path, {"id": int, "theta_vrs": float, "group": dea_mod.EcoGroup},
-                            [p.id for p in provinces])
-    return [p.with_score(*scores[p.id]) for p in provinces], schema
+# The columns of dea_scores.csv that later stages read.
+SCORE_COLUMNS = {"id": int, "theta_vrs": float, "group": dea_mod.EcoGroup}
 
 
-def _load_clustered_complaints(complaints_path: Path, clusters_path: Path) -> list[ds.ComplaintRecord]:
+def _province_groups(provinces_path: Path, scores_path: Path) -> dict[int, dea_mod.EcoGroup]:
+    """The group dea_scores.csv gives each province of provinces.csv."""
+    provinces, _ = ds.load_provinces(provinces_path)
+    scores = _read_artifact(scores_path, SCORE_COLUMNS, [p.id for p in provinces])
+    return {p.id: scores[p.id][1] for p in provinces}
+
+
+def _load_inputs(
+    provinces_path: Path, complaints_path: Path, scores_path: Path, clusters_path: Path
+) -> tuple[list[ds.ProvinceRecord], list[ds.ComplaintRecord], ds.ColumnSchema]:
+    """The joined inputs of train, explain and causal: each province of
+    provinces.csv with its score and group from dea_scores.csv, each
+    complaint of complaints.jsonl with its cluster from clusters.csv, and
+    the schema of provinces.csv."""
+    provinces, schema = ds.load_provinces(provinces_path)
+    scores = _read_artifact(scores_path, SCORE_COLUMNS, [p.id for p in provinces])
     complaints = ds.load_complaints(complaints_path)
     clusters = _read_artifact(clusters_path, {"complaint_id": int, "cluster": int}, [c.id for c in complaints])
-    return [c.with_cluster(*clusters[c.id]) for c in complaints]
+    return (
+        [replace(p, eco_score=scores[p.id][0], eco_group=scores[p.id][1]) for p in provinces],
+        [replace(c, cluster_id=clusters[c.id][0]) for c in complaints],
+        schema,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def stage_synth(spec: ds.SyntheticSpec, out_dir: Path) -> dict:
 
 def stage_dea(provinces_path: Path, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    provinces, _ = _load_provinces(provinces_path)
+    provinces, _ = ds.load_provinces(provinces_path)
     panel = dea_mod.DeaPanel(
         inputs=np.column_stack([p.env_inputs for p in provinces]),
         outputs=np.array([[p.gdp_output for p in provinces]]),
@@ -186,6 +186,11 @@ def stage_cluster(
     province_groups: dict[int, dea_mod.EcoGroup] | None = None,
 ) -> dict:
     complaints = ds.load_complaints(complaints_path)
+    if province_groups is not None:
+        stray = next((c for c in complaints if c.province_id not in province_groups), None)
+        if stray is not None:
+            raise ConfigError(f"{complaints_path}: complaint {stray.id} has province_id {stray.province_id}, "
+                              "which no province has")
     # k-means cannot fill more clusters than there are complaints; say so
     # before the elbow curve spends a best-of-restarts run on every k.
     key, count = ("cluster.k", options.k) if options.k is not None else ("cluster.k_max", options.k_max)
@@ -210,7 +215,7 @@ def stage_cluster(
     )
     silhouette = perm.s_obs
 
-    clustered = [c.with_cluster(int(label)) for c, label in zip(complaints, assignment.labels)]
+    clustered = [replace(c, cluster_id=int(label)) for c, label in zip(complaints, assignment.labels)]
     rates = spectral.coproduction_rate_by_cluster(clustered, n_clusters=k)
 
     shifts_report = None
@@ -262,16 +267,6 @@ def stage_cluster(
     }
 
 
-def _assemble_features(
-    provinces_path: Path, complaints_path: Path, scores_path: Path, clusters_path: Path
-) -> tuple[ds.FeatureMatrix, list[ds.ProvinceRecord], list[ds.ComplaintRecord], ds.ColumnSchema]:
-    provinces, schema = _load_scored_provinces(provinces_path, scores_path)
-    complaints = _load_clustered_complaints(complaints_path, clusters_path)
-    plan = ds.default_feature_plan(schema, n_clusters=max(c.cluster_id for c in complaints) + 1)
-    matrix = ds.build_feature_matrix(provinces, complaints, plan, schema)
-    return matrix, provinces, complaints, schema
-
-
 def stage_train(
     provinces_path: Path,
     complaints_path: Path,
@@ -281,7 +276,9 @@ def stage_train(
     out_dir: Path,
 ) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    matrix, _, _, _ = _assemble_features(provinces_path, complaints_path, scores_path, clusters_path)
+    provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    columns = ds.classifier_columns(schema, max(c.cluster_id for c in complaints) + 1)
+    matrix = ds.build_feature_matrix(provinces, complaints, columns, schema)
     cv = gbm.cross_validate(matrix.rows, matrix.target.astype(np.float64), config)
     model = gbm.train_classifier(
         matrix.rows, matrix.target.astype(np.float64), config, feature_names=matrix.columns
@@ -315,9 +312,9 @@ def stage_explain(
 ) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = gbm.load_model(model_path)
-    matrix, provinces, complaints, _ = _assemble_features(
-        provinces_path, complaints_path, scores_path, clusters_path
-    )
+    provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    columns = ds.classifier_columns(schema, max(c.cluster_id for c in complaints) + 1)
+    matrix = ds.build_feature_matrix(provinces, complaints, columns, schema)
     if tuple(matrix.columns) != model.feature_names:
         raise ConfigError("feature columns do not match the trained model")
 
@@ -426,49 +423,6 @@ class CausalOptions:
                 raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
 
 
-COMPLAINT_COVARIATES = ("sentiment", "attention", "cluster_id")
-
-
-def _complaint_covariate(
-    complaint: ds.ComplaintRecord,
-    province: ds.ProvinceRecord,
-    name: str,
-    schema: ds.ColumnSchema,
-) -> float:
-    if name == "sentiment":
-        return complaint.sentiment
-    if name == "attention":
-        return float(complaint.attention)
-    if name == "cluster_id":
-        if complaint.cluster_id is None:
-            raise ConfigError(f"complaint {complaint.id} has no cluster assignment")
-        return float(complaint.cluster_id)
-    return ds.province_feature(province, name, schema)
-
-
-def build_causal_dataset(
-    provinces: list[ds.ProvinceRecord],
-    complaints: list[ds.ComplaintRecord],
-    covariates: tuple[str, ...],
-    schema: ds.ColumnSchema,
-) -> causal_mod.CausalDataset:
-    """Message-level rows; treatment is the province's high-efficiency flag."""
-    by_id = {p.id: p for p in provinces}
-    rows = np.empty((len(complaints), len(covariates)))
-    treatment = np.empty(len(complaints), dtype=np.int64)
-    outcome = np.empty(len(complaints), dtype=np.int64)
-    for i, complaint in enumerate(complaints):
-        province = by_id[complaint.province_id]
-        if province.eco_group is None:
-            raise ConfigError(f"province {province.id} has no efficiency group")
-        rows[i] = [
-            _complaint_covariate(complaint, province, name, schema) for name in covariates
-        ]
-        treatment[i] = province.eco_group is dea_mod.EcoGroup.HIGH
-        outcome[i] = complaint.response_label.value
-    return causal_mod.CausalDataset(covariates=rows, treatment=treatment, outcome=outcome)
-
-
 def stage_causal(
     provinces_path: Path,
     complaints_path: Path,
@@ -479,9 +433,14 @@ def stage_causal(
     out_dir: Path,
 ) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    provinces, schema = _load_scored_provinces(provinces_path, scores_path)
-    complaints = _load_clustered_complaints(complaints_path, clusters_path)
-    data = build_causal_dataset(provinces, complaints, options.covariates, schema)
+    provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    matrix = ds.build_feature_matrix(provinces, complaints, options.covariates, schema)
+    eco_group = {p.id: p.eco_group for p in provinces}
+    data = causal_mod.CausalDataset(
+        covariates=matrix.rows,
+        treatment=[eco_group[c.province_id] is dea_mod.EcoGroup.HIGH for c in complaints],
+        outcome=matrix.target,
+    )
     groups = np.array([c.province_id for c in complaints]) if options.unit == "province" else None
 
     # Built per call, not at import: perfbench/tracing.py replaces these
@@ -650,8 +609,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         summary["stages"]["dea"] = stage_dea(provinces, out)
 
         stage = "cluster"
-        scored, _ = _load_scored_provinces(provinces, out / "dea_scores.csv")
-        groups = {p.id: p.eco_group for p in scored}
+        groups = _province_groups(provinces, out / "dea_scores.csv")
         summary["stages"]["cluster"] = stage_cluster(
             complaints, config.cluster, derive_seed(config.seed, "cluster"), out,
             province_groups=groups,
@@ -775,6 +733,8 @@ def _require_file(raw: str) -> Path:
     path = Path(raw)
     if not path.exists():
         raise ConfigError(f"input file does not exist: {path}")
+    if path.is_dir():
+        raise ConfigError(f"input path is a directory, not a file: {path}")
     return path
 
 
@@ -811,10 +771,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.dea_scores:
             if not args.provinces:
                 raise ConfigError("--dea-scores needs --provinces for the join")
-            provinces, _ = _load_scored_provinces(
-                _require_file(args.provinces), _require_file(args.dea_scores)
-            )
-            groups = {p.id: p.eco_group for p in provinces}
+            groups = _province_groups(_require_file(args.provinces), _require_file(args.dea_scores))
         stage_cluster(_require_file(args.complaints), options, args.seed, Path(args.out),
                       province_groups=groups)
         return EXIT_OK
@@ -858,9 +815,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "pipeline":
         config_path = _require_file(args.config)
         try:
-            raw = json.loads(config_path.read_text(encoding="utf-8"))
+            raw = json.loads(ds.read_text(config_path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config JSON: {exc}") from None
+        except IngestionError as exc:
+            raise ConfigError(str(exc)) from None
         for assignment in args.overrides:
             _set_override(raw, assignment)
         config = PipelineConfig.from_dict(raw, config_path.parent)

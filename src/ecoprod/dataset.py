@@ -19,8 +19,11 @@ the probability scale equals exactly the requested value.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
+import typing
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -62,17 +65,6 @@ class ProvinceRecord:
             raise IngestionError(f"province {self.id}: eco_score outside (0, 1]")
         object.__setattr__(self, "env_inputs", env)
 
-    def with_score(self, eco_score: float, eco_group: EcoGroup) -> "ProvinceRecord":
-        return ProvinceRecord(
-            id=self.id,
-            name=self.name,
-            env_inputs=self.env_inputs,
-            gdp_output=self.gdp_output,
-            fiscal_features=dict(self.fiscal_features),
-            eco_score=eco_score,
-            eco_group=eco_group,
-        )
-
 
 @dataclass(frozen=True)
 class ComplaintRecord:
@@ -93,17 +85,6 @@ class ComplaintRecord:
         if self.attention not in (0, 1):
             raise IngestionError(f"complaint {self.id}: attention must be 0 or 1")
         object.__setattr__(self, "embedding", emb)
-
-    def with_cluster(self, cluster_id: int) -> "ComplaintRecord":
-        return ComplaintRecord(
-            id=self.id,
-            province_id=self.province_id,
-            embedding=self.embedding,
-            sentiment=self.sentiment,
-            attention=self.attention,
-            response_label=self.response_label,
-            cluster_id=cluster_id,
-        )
 
 
 @dataclass(frozen=True)
@@ -140,21 +121,6 @@ DEFAULT_SCHEMA = ColumnSchema(
 )
 
 
-def infer_schema(header: list[str]) -> ColumnSchema:
-    """Recover the schema from a header following the documented layout."""
-    if len(header) < 4 or header[0] != "id" or header[1] != "name":
-        raise IngestionError("header must start with 'id,name'")
-    if "gdp_output" not in header:
-        raise IngestionError("header is missing 'gdp_output'")
-    split = header.index("gdp_output")
-    if split < 3:
-        raise IngestionError("header declares no env input columns")
-    return ColumnSchema(
-        env_columns=tuple(header[2:split]),
-        fiscal_columns=tuple(header[split + 1:]),
-    )
-
-
 def _parse_real(raw: str, row: int, column: str) -> float:
     try:
         value = float(raw)
@@ -165,54 +131,75 @@ def _parse_real(raw: str, row: int, column: str) -> float:
     return value
 
 
-def load_provinces(path: str | Path, schema: ColumnSchema) -> list[ProvinceRecord]:
-    """Read `provinces.csv` against a declared schema.
+def read_text(path: Path) -> str:
+    """The whole file as UTF-8 text.  A file that cannot be read, or a byte
+    that is not UTF-8, is an IngestionError naming the file (and the
+    1-based line of the byte)."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read ({exc.strerror})") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IngestionError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
+def _province_rows(path: Path) -> tuple[ColumnSchema, typing.Iterator[list[str]]]:
+    """The schema the header of `provinces.csv` declares, and a reader of
+    the data rows after it."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, [])
+    if header[:2] != ["id", "name"]:
+        raise IngestionError(f"{path}: header must start with 'id,name'")
+    if "gdp_output" not in header:
+        raise IngestionError(f"{path}: header is missing 'gdp_output'")
+    split = header.index("gdp_output")
+    if split < 3:
+        raise IngestionError(f"{path}: header declares no env input columns")
+    return ColumnSchema(env_columns=tuple(header[2:split]), fiscal_columns=tuple(header[split + 1:])), reader
+
+
+def province_schema(path: str | Path) -> ColumnSchema:
+    """The schema the header of `provinces.csv` declares; parses no data row."""
+    return _province_rows(Path(path))[0]
+
+
+def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema]:
+    """Read `provinces.csv` under the schema its header declares.
 
     Errors name the offending data row (1-based) and column.
     """
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"province file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    schema, reader = _province_rows(Path(path))
+    columns = schema.header()
+    records = []
+    for row_number, row in enumerate(reader, start=1):
+        if len(row) != len(columns):
+            raise IngestionError(f"row {row_number}: expected {len(columns)} cells, got {len(row)}")
+        cells = dict(zip(columns, row))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file, expected a header row") from None
-        expected = schema.header()
-        if header != expected:
-            missing = [c for c in expected if c not in header]
-            if missing:
-                raise IngestionError(f"{path}: missing column '{missing[0]}'")
-            raise IngestionError(f"{path}: header {header} does not match schema {expected}")
-
-        records = []
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(expected):
-                raise IngestionError(f"row {row_number}: expected {len(expected)} cells, got {len(row)}")
-            cells = dict(zip(expected, row))
-            try:
-                province_id = int(cells["id"])
-            except ValueError:
-                raise IngestionError(f"row {row_number}: non-integer value in column 'id'") from None
-            env = np.array([_parse_real(cells[c], row_number, c) for c in schema.env_columns])
-            if np.any(env < 0):
-                bad = schema.env_columns[int(np.nonzero(env < 0)[0][0])]
-                raise IngestionError(f"row {row_number}: negative input in column '{bad}'")
-            gdp = _parse_real(cells["gdp_output"], row_number, "gdp_output")
-            if gdp <= 0:
-                raise IngestionError(f"row {row_number}: non-positive value in column 'gdp_output'")
-            fiscal = {c: _parse_real(cells[c], row_number, c) for c in schema.fiscal_columns}
-            records.append(
-                ProvinceRecord(
-                    id=province_id,
-                    name=cells["name"],
-                    env_inputs=env,
-                    gdp_output=gdp,
-                    fiscal_features=fiscal,
-                )
+            province_id = int(cells["id"])
+        except ValueError:
+            raise IngestionError(f"row {row_number}: non-integer value in column 'id'") from None
+        env = np.array([_parse_real(cells[c], row_number, c) for c in schema.env_columns])
+        if np.any(env < 0):
+            bad = schema.env_columns[int(np.nonzero(env < 0)[0][0])]
+            raise IngestionError(f"row {row_number}: negative input in column '{bad}'")
+        gdp = _parse_real(cells["gdp_output"], row_number, "gdp_output")
+        if gdp <= 0:
+            raise IngestionError(f"row {row_number}: non-positive value in column 'gdp_output'")
+        fiscal = {c: _parse_real(cells[c], row_number, c) for c in schema.fiscal_columns}
+        records.append(
+            ProvinceRecord(
+                id=province_id,
+                name=cells["name"],
+                env_inputs=env,
+                gdp_output=gdp,
+                fiscal_features=fiscal,
             )
-    return records
+        )
+    return records, schema
 
 
 def write_provinces(path: str | Path, records: list[ProvinceRecord], schema: ColumnSchema) -> None:
@@ -277,28 +264,36 @@ def _complaint_fields(obj, where: str) -> tuple[int, int, np.ndarray, float, int
     return obj["id"], obj["province_id"], embedding, float(obj["sentiment"]), obj["attention"], obj["label"]
 
 
-def load_complaints(path: str | Path, embedding_dim: int | None = None) -> list[ComplaintRecord]:
+def load_complaints(path: str | Path) -> list[ComplaintRecord]:
     """Read `complaints.jsonl`.
 
-    The embedding dimension is declared by the first record unless given
-    explicitly; every later record must match it.  Errors name the file,
-    the 1-based line and the field.
+    The embedding dimension is declared by the first record; every later
+    record must match it, and no two records share an `id`.  Errors name
+    the file, the 1-based line and the field.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"complaint file not found: {path}")
     records: list[ComplaintRecord] = []
-    with path.open(encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
+    id_lines: dict[int, int] = {}
+    embedding_dim = None
+    with path.open("rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            where = f"{path}: line {line_number}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise IngestionError(f"{where}: byte {raw[exc.start]:#04x} is not UTF-8") from None
             if not line:
                 continue
-            where = f"{path}: line {line_number}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestionError(f"{where}: invalid JSON ({exc.msg})") from None
             record_id, province_id, embedding, sentiment, attention, label = _complaint_fields(obj, where)
+            first_line = id_lines.setdefault(record_id, line_number)
+            if first_line != line_number:
+                raise IngestionError(f"{where}: field 'id' repeats {record_id} from line {first_line}")
             if embedding_dim is None:
                 embedding_dim = embedding.shape[0]
             if embedding.shape != (embedding_dim,):
@@ -342,38 +337,24 @@ def write_complaints(path: str | Path, records: list[ComplaintRecord]) -> None:
 # Feature-matrix assembly
 
 
-@dataclass(frozen=True)
-class FeaturePlan:
-    """Ordered recipe for one feature row per complaint.
-
-    Province features come first (resolved by name: 'eco_efficiency',
-    'gdp_output', any env or fiscal column), then complaint features
-    ('sentiment', 'attention'), then the cluster encoding.
-    """
-
-    province_features: tuple[str, ...]
-    complaint_features: tuple[str, ...] = ("sentiment", "attention")
-    cluster_encoding: str | None = "onehot"  # onehot | id | None
-    n_clusters: int | None = None
-
-    def column_names(self) -> tuple[str, ...]:
-        names = list(self.province_features) + list(self.complaint_features)
-        if self.cluster_encoding == "onehot":
-            if self.n_clusters is None:
-                raise FeatureError("onehot cluster encoding needs n_clusters")
-            names += [f"cluster_{c}" for c in range(self.n_clusters)]
-        elif self.cluster_encoding == "id":
-            names.append("cluster_id")
-        elif self.cluster_encoding is not None:
-            raise FeatureError(f"unknown cluster encoding {self.cluster_encoding!r}")
-        return tuple(names)
+def feature_names(schema: ColumnSchema) -> tuple[str, ...]:
+    """Every name a classifier feature or causal covariate may use under
+    `schema`: the province's `eco_efficiency`, `gdp_output`, env inputs and
+    fiscal sectors, then the complaint's `sentiment`, `attention` and
+    `cluster_id`.  The classifier replaces `cluster_id` with the indicators
+    `cluster_<c>` (see `classifier_columns`)."""
+    return ("eco_efficiency", "gdp_output", *schema.env_columns, *schema.fiscal_columns,
+            "sentiment", "attention", "cluster_id")
 
 
-def default_feature_plan(schema: ColumnSchema = DEFAULT_SCHEMA, n_clusters: int = 8) -> FeaturePlan:
-    """Default plan: efficiency + GDP + env + fiscal + sentiment/attention + one-hot clusters."""
-    return FeaturePlan(
-        province_features=("eco_efficiency", "gdp_output", *schema.env_columns, *schema.fiscal_columns),
-        n_clusters=n_clusters,
+def classifier_columns(schema: ColumnSchema, n_clusters: int) -> tuple[str, ...]:
+    """The classifier's columns in model order: every feature name but
+    `cluster_id`, then `cluster_0` ... `cluster_<n_clusters - 1>`, the 0/1
+    indicators of the complaint's cluster.  The default schema with 8
+    clusters gives 27 columns."""
+    return (
+        *(name for name in feature_names(schema) if name != "cluster_id"),
+        *(f"cluster_{c}" for c in range(n_clusters)),
     )
 
 
@@ -395,76 +376,50 @@ class FeatureMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "target", target)
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise FeatureError(f"no feature named {name!r}") from None
-
-
-def province_feature_names(schema: ColumnSchema) -> tuple[str, ...]:
-    """Every name `province_feature` resolves under `schema`."""
-    return ("eco_efficiency", "gdp_output", *schema.env_columns, *schema.fiscal_columns)
-
-
-def province_feature(province: ProvinceRecord, name: str, schema: ColumnSchema) -> float:
-    """Resolve one named province-level feature value."""
-    if name == "eco_efficiency":
-        if province.eco_score is None:
-            raise FeatureError(f"province {province.id} has no eco_efficiency score yet")
-        return province.eco_score
-    if name == "gdp_output":
-        return province.gdp_output
-    if name in schema.env_columns:
-        return float(province.env_inputs[schema.env_columns.index(name)])
-    if name in province.fiscal_features:
-        return province.fiscal_features[name]
-    raise FeatureError(f"requested feature {name!r} absent from province {province.id}")
-
 
 def build_feature_matrix(
     provinces: list[ProvinceRecord],
     complaints: list[ComplaintRecord],
-    plan: FeaturePlan,
+    columns: tuple[str, ...],
     schema: ColumnSchema = DEFAULT_SCHEMA,
 ) -> FeatureMatrix:
-    """One row per complaint: province features ++ complaint features ++ cluster."""
-    by_id = {p.id: p for p in provinces}
-    columns = plan.column_names()
+    """One row per complaint and one column per name in `columns`, each a
+    name of `feature_names(schema)` or a cluster indicator `cluster_<c>`; a
+    province feature takes the value of the complaint's province.  The
+    target is the complaint's response label."""
+    index = {p.id: i for i, p in enumerate(provinces)}
+    stray = next((c for c in complaints if c.province_id not in index), None)
+    if stray is not None:
+        raise FeatureError(f"complaint {stray.id} references unknown province {stray.province_id}")
+    home = np.array([index[c.province_id] for c in complaints], dtype=np.intp)
     rows = np.empty((len(complaints), len(columns)))
-    target = np.empty(len(complaints), dtype=np.int64)
-
-    for row_index, complaint in enumerate(complaints):
-        province = by_id.get(complaint.province_id)
-        if province is None:
-            raise FeatureError(
-                f"complaint {complaint.id} references unknown province {complaint.province_id}"
-            )
-        values = [province_feature(province, name, schema) for name in plan.province_features]
-        for name in plan.complaint_features:
-            if name == "sentiment":
-                values.append(complaint.sentiment)
-            elif name == "attention":
-                values.append(float(complaint.attention))
+    for j, name in enumerate(columns):
+        indicator = re.fullmatch(r"cluster_([0-9]+)", name)
+        if name in ("sentiment", "attention"):
+            rows[:, j] = [getattr(c, name) for c in complaints]
+        elif name == "cluster_id" or indicator:
+            bad = next((c for c in complaints if c.cluster_id is None or c.cluster_id < 0), None)
+            if bad is not None:
+                raise FeatureError(f"complaint {bad.id} has cluster {bad.cluster_id}, not a label >= 0")
+            cluster = np.array([c.cluster_id for c in complaints])
+            rows[:, j] = cluster == int(indicator[1]) if indicator else cluster
+        else:
+            if name == "eco_efficiency":
+                unscored = next((p for p in provinces if p.eco_score is None), None)
+                if unscored is not None:
+                    raise FeatureError(f"province {unscored.id} has no eco_efficiency score yet")
+                values = [p.eco_score for p in provinces]
+            elif name == "gdp_output":
+                values = [p.gdp_output for p in provinces]
+            elif name in schema.env_columns:
+                values = [p.env_inputs[schema.env_columns.index(name)] for p in provinces]
+            elif name in schema.fiscal_columns:
+                values = [p.fiscal_features[name] for p in provinces]
             else:
-                raise FeatureError(f"unknown complaint feature {name!r}")
-        if plan.cluster_encoding is not None:
-            if complaint.cluster_id is None:
-                raise FeatureError(f"complaint {complaint.id} has no cluster assignment")
-            if plan.cluster_encoding == "onehot":
-                onehot = [0.0] * plan.n_clusters
-                if not 0 <= complaint.cluster_id < plan.n_clusters:
-                    raise FeatureError(
-                        f"complaint {complaint.id}: cluster {complaint.cluster_id} "
-                        f"outside [0, {plan.n_clusters})"
-                    )
-                onehot[complaint.cluster_id] = 1.0
-                values.extend(onehot)
-            else:
-                values.append(float(complaint.cluster_id))
-        rows[row_index] = values
-        target[row_index] = complaint.response_label.value
-    return FeatureMatrix(columns=columns, rows=rows, target=target)
+                raise FeatureError(f"unknown feature {name!r}")
+            rows[:, j] = np.array(values, dtype=np.float64)[home]
+    target = [c.response_label.value for c in complaints]
+    return FeatureMatrix(columns=tuple(columns), rows=rows, target=target)
 
 
 # ---------------------------------------------------------------------------

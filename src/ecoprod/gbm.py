@@ -147,6 +147,8 @@ class TrainConfig:
             raise TrainingError("eta must lie in (0, 1]")
         if self.reg_lambda < 0:
             raise TrainingError("reg_lambda must be >= 0")
+        if not self.min_child_cover >= 0:  # NaN too
+            raise TrainingError("min_child_cover must be >= 0")
         if self.folds < 2:
             raise TrainingError("folds must be >= 2")
         if self.max_depth < 1:
@@ -521,5 +523,7 @@ def load_model(path: str | Path) -> BoostedModel:
         return model_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"model file {path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"model file {path}: byte {exc.object[exc.start]:#04x} is not UTF-8") from None
     except ConfigError as exc:
         raise ConfigError(f"model file {path}: {exc}") from None

@@ -1,6 +1,7 @@
 import csv
 import inspect
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -56,6 +57,12 @@ def test_missing_input_exits_2_naming_path(tmp_path, capsys):
     rc = cli.main(["dea", "--provinces", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
     assert rc == 2
     assert "nope.csv" in capsys.readouterr().err
+    folder = tmp_path / "complaints.jsonl"
+    folder.mkdir()
+    rc = cli.main(["cluster", "--complaints", str(folder), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"directory, not a file: {folder}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_dea_subcommand_writes_scores(fixture_dir, tmp_path):
@@ -268,6 +275,7 @@ CONFIG_ERRORS = [
     ("cluster.k", 0),
     ("cluster.k_max", 2),
     ("causal.covariates", ["sentiment", "bogus"]),
+    ("train.min_child_cover", -1.0),
 ]
 
 
@@ -472,3 +480,46 @@ def test_causal_reaches_estimators_through_module_attributes(fixture_dir, tmp_pa
             assert groups[0] is None, name
         else:
             assert np.array_equal(groups[0], province_ids), name
+
+
+@pytest.mark.parametrize("name", ["provinces.csv", "complaints.jsonl", "dea_scores.csv", "clusters.csv"])
+def test_non_utf8_input_names_file_and_line(fixture_dir, tmp_path, capsys, name):
+    run = fixture_dir / "run_a"
+    for source in (fixture_dir / "provinces.csv", fixture_dir / "complaints.jsonl",
+                   run / "dea_scores.csv", run / "clusters.csv"):
+        data = source.read_bytes()
+        if source.name == name:  # one byte of line 3 becomes 0xff
+            at = data.index(b"\n", data.index(b"\n") + 1) + 2
+            data = data[:at] + b"\xff" + data[at + 1:]
+        (tmp_path / source.name).write_bytes(data)
+    rc = cli.main([
+        "causal", "--provinces", str(tmp_path / "provinces.csv"), "--complaints", str(tmp_path / "complaints.jsonl"),
+        "--dea-scores", str(tmp_path / "dea_scores.csv"), "--clusters", str(tmp_path / "clusters.csv"),
+        "--out", str(tmp_path / "out"), "--method", "diffmeans", "--bootstrap", "0",
+    ])
+    assert rc in (1, 2)
+    assert f"{tmp_path / name}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ate_report.json").exists()
+
+
+def test_complaint_of_unknown_province_is_named(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "complaints.jsonl").read_text().splitlines()
+    stray = json.loads(lines[4])
+    lines[4] = json.dumps({**stray, "province_id": 999})
+    (tmp_path / "complaints.jsonl").write_text("\n".join(lines) + "\n")
+    shutil.copy(fixture_dir / "provinces.csv", tmp_path)
+    # the cluster stage looks up each complaint's efficiency group
+    (tmp_path / "config.json").write_text(json.dumps(small_config("out")))
+    assert cli.main(["pipeline", "--config", str(tmp_path / "config.json")]) == 1
+    assert f"complaint {stray['id']} has province_id 999" in capsys.readouterr().err
+    assert (tmp_path / "out" / "FAILED").read_text().startswith("cluster:")
+    # train, explain and causal join each complaint to its province
+    run = fixture_dir / "run_a"
+    rc = cli.main([
+        "train", "--provinces", str(tmp_path / "provinces.csv"), "--complaints", str(tmp_path / "complaints.jsonl"),
+        "--dea-scores", str(run / "dea_scores.csv"), "--clusters", str(run / "clusters.csv"),
+        "--out", str(tmp_path / "train"),
+    ])
+    assert rc == 1
+    assert f"complaint {stray['id']} references unknown province 999" in capsys.readouterr().err
+    assert not (tmp_path / "train" / "model.json").exists()

@@ -18,7 +18,8 @@ def write(tmp_path, text, name="provinces.csv"):
 
 def test_load_provinces_direct_mapping(tmp_path):
     path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,3.0,10.0\n")
-    records = ds.load_provinces(path, TWO_COLUMN_SCHEMA)
+    records, schema = ds.load_provinces(path)
+    assert schema == TWO_COLUMN_SCHEMA
     assert len(records) == 1
     record = records[0]
     assert record.env_inputs.tolist() == [2.0, 3.0]
@@ -29,31 +30,34 @@ def test_load_provinces_direct_mapping(tmp_path):
 
 def test_load_provinces_empty_data_section(tmp_path):
     path = write(tmp_path, "id,name,in1,in2,gdp_output\n")
-    assert ds.load_provinces(path, TWO_COLUMN_SCHEMA) == []
+    assert ds.load_provinces(path) == ([], TWO_COLUMN_SCHEMA)
 
 
 def test_load_provinces_negative_gdp_names_row_and_column(tmp_path):
     path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,3.0,-1\n")
     with pytest.raises(IngestionError, match="row 1.*gdp_output"):
-        ds.load_provinces(path, TWO_COLUMN_SCHEMA)
+        ds.load_provinces(path)
 
 
 def test_load_provinces_missing_column(tmp_path):
-    path = write(tmp_path, "id,name,in1,gdp_output\n1,Alpha,2.0,10.0\n")
-    with pytest.raises(IngestionError, match="in2"):
-        ds.load_provinces(path, TWO_COLUMN_SCHEMA)
+    path = write(tmp_path, "id,name,in1,in2\n1,Alpha,2.0,10.0\n")
+    with pytest.raises(IngestionError, match="gdp_output"):
+        ds.load_provinces(path)
+    path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,10.0\n")
+    with pytest.raises(IngestionError, match="row 1: expected 5 cells, got 4"):
+        ds.load_provinces(path)
 
 
 def test_load_provinces_non_numeric_cell(tmp_path):
     path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,oops,10.0\n")
     with pytest.raises(IngestionError, match="row 1.*'in2'"):
-        ds.load_provinces(path, TWO_COLUMN_SCHEMA)
+        ds.load_provinces(path)
 
 
 def test_load_provinces_negative_input_named(tmp_path):
     path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,-3.0,10.0\n")
     with pytest.raises(IngestionError, match="row 1.*'in2'"):
-        ds.load_provinces(path, TWO_COLUMN_SCHEMA)
+        ds.load_provinces(path)
 
 
 def test_province_round_trip_is_exact(tmp_path):
@@ -71,7 +75,8 @@ def test_province_round_trip_is_exact(tmp_path):
     ]
     path = tmp_path / "p.csv"
     ds.write_provinces(path, records, schema)
-    loaded = ds.load_provinces(path, schema)
+    loaded, loaded_schema = ds.load_provinces(path)
+    assert loaded_schema == schema
     for before, after in zip(records, loaded):
         assert after.env_inputs.tolist() == before.env_inputs.tolist()
         assert after.gdp_output == before.gdp_output
@@ -82,17 +87,44 @@ def test_load_complaints_trivial(tmp_path):
     line = {"id": 1, "province_id": 1, "embedding": [0.1, 0.2], "sentiment": 0.3,
             "attention": 0, "label": 1}
     path = write(tmp_path, json.dumps(line) + "\n", "c.jsonl")
-    records = ds.load_complaints(path, embedding_dim=2)
+    records = ds.load_complaints(path)
     assert records[0].response_label is ds.ResponseLabel.CO_PRODUCTION
     assert records[0].embedding.tolist() == [0.1, 0.2]
 
 
 def test_load_complaints_dimension_mismatch(tmp_path):
-    line = {"id": 1, "province_id": 1, "embedding": [0.1, 0.2, 0.3], "sentiment": 0.0,
+    line = {"id": 1, "province_id": 1, "embedding": [0.1, 0.2], "sentiment": 0.0,
             "attention": 0, "label": 0}
-    path = write(tmp_path, json.dumps(line) + "\n", "c.jsonl")
-    with pytest.raises(IngestionError, match="dimension"):
-        ds.load_complaints(path, embedding_dim=2)
+    longer = {**line, "id": 2, "embedding": [0.1, 0.2, 0.3]}
+    path = write(tmp_path, json.dumps(line) + "\n" + json.dumps(longer) + "\n", "c.jsonl")
+    with pytest.raises(IngestionError, match="line 2: embedding length 3 does not match declared dimension 2"):
+        ds.load_complaints(path)
+
+
+def test_load_complaints_rejects_repeated_id(tmp_path):
+    line = {"id": 1, "province_id": 1, "embedding": [0.1, 0.2], "sentiment": 0.0,
+            "attention": 0, "label": 0}
+    lines = [line, {**line, "id": 2}, {**line, "province_id": 2}]
+    path = write(tmp_path, "".join(json.dumps(obj) + "\n" for obj in lines), "c.jsonl")
+    with pytest.raises(IngestionError) as caught:
+        ds.load_complaints(path)
+    assert f"{path}: line 3: field 'id' repeats 1 from line 1" in str(caught.value)
+
+
+@pytest.mark.parametrize("name", ["provinces.csv", "complaints.jsonl"])
+def test_non_utf8_byte_names_file_and_line(tmp_path, name):
+    if name == "provinces.csv":
+        text, load = "id,name,in1,gdp_output\n1,Alpha,2.0,10.0\n2,B\xff,2.0,10.0\n", ds.load_provinces
+    else:
+        line = json.dumps({"id": 1, "province_id": 1, "embedding": [0.1], "sentiment": 0.0,
+                           "attention": 0, "label": 0})
+        text, load = line + "\n" + line.replace('"id": 1', '"id": 2, "note": "\xff"') + "\n", ds.load_complaints
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(IngestionError) as caught:
+        load(path)
+    assert f"{path}: line " in str(caught.value) and "0xff is not UTF-8" in str(caught.value)
+    assert f"line {2 if name == 'complaints.jsonl' else 3}:" in str(caught.value)
 
 
 def test_load_complaints_unknown_label(tmp_path):
@@ -170,52 +202,79 @@ def make_complaint(cid, pid, cluster=0):
 
 
 SMALL_SCHEMA = ds.ColumnSchema(env_columns=("env_a",), fiscal_columns=("fiscal_a",))
-SMALL_PLAN = ds.FeaturePlan(
-    province_features=("eco_efficiency", "fiscal_a"),
-    cluster_encoding="id",
-)
+SMALL_COLUMNS = ("eco_efficiency", "fiscal_a", "cluster_id")
 
 
 def test_feature_matrix_contains_eco_score():
     matrix = ds.build_feature_matrix(
-        [make_province(1, eco=0.8)], [make_complaint(1, 1)], SMALL_PLAN, SMALL_SCHEMA
+        [make_province(1, eco=0.8)], [make_complaint(1, 1)], SMALL_COLUMNS, SMALL_SCHEMA
     )
-    assert matrix.rows[0, matrix.column_index("eco_efficiency")] == 0.8
+    assert matrix.rows[0, matrix.columns.index("eco_efficiency")] == 0.8
     assert matrix.target.tolist() == [1]
 
 
 def test_feature_matrix_dangling_province():
     with pytest.raises(FeatureError, match="99"):
-        ds.build_feature_matrix([make_province(1)], [make_complaint(1, 99)], SMALL_PLAN, SMALL_SCHEMA)
+        ds.build_feature_matrix([make_province(1)], [make_complaint(1, 99)], SMALL_COLUMNS, SMALL_SCHEMA)
 
 
 def test_feature_matrix_shares_province_columns():
     matrix = ds.build_feature_matrix(
         [make_province(1)], [make_complaint(1, 1, cluster=0), make_complaint(2, 1, cluster=1)],
-        SMALL_PLAN, SMALL_SCHEMA,
+        SMALL_COLUMNS, SMALL_SCHEMA,
     )
     assert matrix.rows.shape[0] == 2
-    province_cols = [matrix.column_index("eco_efficiency"), matrix.column_index("fiscal_a")]
+    province_cols = [matrix.columns.index("eco_efficiency"), matrix.columns.index("fiscal_a")]
     assert matrix.rows[0, province_cols].tolist() == matrix.rows[1, province_cols].tolist()
 
 
 def test_feature_matrix_missing_feature_named():
-    plan = ds.FeaturePlan(province_features=("nope",), cluster_encoding=None)
     with pytest.raises(FeatureError, match="nope"):
-        ds.build_feature_matrix([make_province(1)], [make_complaint(1, 1)], plan, SMALL_SCHEMA)
+        ds.build_feature_matrix([make_province(1)], [make_complaint(1, 1)], ("nope",), SMALL_SCHEMA)
 
 
-def test_default_plan_has_27_columns():
-    plan = ds.default_feature_plan(ds.DEFAULT_SCHEMA, n_clusters=8)
-    assert len(plan.column_names()) == 27
+def test_feature_matrix_resolves_every_feature_name():
+    provinces = [
+        ds.ProvinceRecord(id=pid, name=f"P{pid}", env_inputs=np.array([1.0 + pid, 2.0 * pid]),
+                          gdp_output=3.0 * pid, fiscal_features={"f": 5.0 + pid}, eco_score=0.1 * pid,
+                          eco_group=EcoGroup.HIGH)
+        for pid in (1, 2)
+    ]
+    complaints = [
+        ds.ComplaintRecord(id=10 + i, province_id=pid, embedding=np.zeros(2), sentiment=-0.5 * i,
+                           attention=i % 2, response_label=ds.ResponseLabel(i % 2), cluster_id=cluster)
+        for i, (pid, cluster) in enumerate([(2, 1), (1, 0), (2, 2), (2, 1)])
+    ]
+    schema = ds.ColumnSchema(env_columns=("e1", "e2"), fiscal_columns=("f",))
+    names = ds.feature_names(schema)
+    assert names == ("eco_efficiency", "gdp_output", "e1", "e2", "f", "sentiment", "attention", "cluster_id")
+    matrix = ds.build_feature_matrix(provinces, complaints, names, schema)
+    expected = [
+        [p.eco_score, p.gdp_output, *p.env_inputs, p.fiscal_features["f"], c.sentiment, c.attention, c.cluster_id]
+        for c in complaints for p in provinces if p.id == c.province_id
+    ]
+    assert matrix.rows.tolist() == expected
+    assert matrix.target.tolist() == [0, 1, 0, 1]
+    onehot = ds.build_feature_matrix(provinces, complaints, ("cluster_0", "cluster_1", "cluster_2"), schema)
+    assert onehot.rows.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("cluster", [None, -1])
+def test_feature_matrix_rejects_missing_or_negative_cluster(cluster):
+    with pytest.raises(FeatureError, match="complaint 1 has cluster"):
+        ds.build_feature_matrix([make_province(1)], [make_complaint(1, 1, cluster=cluster)],
+                                ("cluster_0",), SMALL_SCHEMA)
+
+
+def test_classifier_has_27_columns():
+    assert len(ds.classifier_columns(ds.DEFAULT_SCHEMA, 8)) == 27
 
 
 def test_feature_columns_are_stable_and_ordered():
-    plan = ds.default_feature_plan(ds.DEFAULT_SCHEMA, n_clusters=3)
-    names = plan.column_names()
+    names = ds.classifier_columns(ds.DEFAULT_SCHEMA, 3)
     assert names[0] == "eco_efficiency"
-    assert names[-3:] == ("cluster_0", "cluster_1", "cluster_2")
-    assert names == plan.column_names()
+    assert names[-5:] == ("sentiment", "attention", "cluster_0", "cluster_1", "cluster_2")
+    assert names == ds.classifier_columns(ds.DEFAULT_SCHEMA, 3)
 
 
 def test_synthetic_spec_validation():
