@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import sys
@@ -43,47 +42,25 @@ PRESETS = {"desk": causal_mod.DESK_PRESET, "paper": causal_mod.PAPER_PRESET}
 METHODS = tuple(m.value for m in causal_mod.Method)
 
 
+def _make_dir(path: Path) -> None:
+    """Create the output directory `path` and its parents; an OSError, such
+    as `path` naming a file, is a ConfigError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path} ({exc.strerror})") from None
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with path.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _read_artifact(path: Path, parsers: dict[str, typing.Callable], keys: list) -> dict:
-    """CSV artifact rows as {first parsed cell: [the other parsed cells]}, one
-    for each of `keys`.  A missing column, a cell its parser rejects, or a
-    repeated or missing key is a ConfigError naming the file, the 1-based
-    line and the column."""
-    first = next(iter(parsers))
-    rows: dict = {}
-    try:
-        reader = csv.DictReader(io.StringIO(ds.read_text(path), newline=""))
-    except IngestionError as exc:
-        raise ConfigError(str(exc)) from None
-    missing = [c for c in parsers if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ConfigError(f"{path}: line 1: missing column {missing[0]!r}")
-    for row in reader:
-        where = f"{path}: line {reader.line_num}"
-        values = []
-        for column, parse in parsers.items():
-            try:
-                values.append(parse(row[column]))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where}: bad value {row[column]!r} in column {column!r}") from None
-        if values[0] in rows:
-            raise ConfigError(f"{where}: repeated value {values[0]} in column {first!r}")
-        rows[values[0]] = values[1:]
-    missing = [key for key in keys if key not in rows]
-    if missing:
-        raise ConfigError(f"{path}: no row with {missing[0]} in column {first!r}")
-    return rows
-
-
 def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None:
     """A ConfigError naming causal.covariates for a name that neither a
     complaint nor the header of provinces.csv supplies."""
-    known = ds.feature_names(ds.province_schema(provinces_path))
+    known = ds.feature_names(ds.load_provinces(provinces_path)[1])
     unknown = [name for name in covariates if name not in known]
     if unknown:
         raise ConfigError(
@@ -92,15 +69,27 @@ def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None
         )
 
 
-# The columns of dea_scores.csv that later stages read.
-SCORE_COLUMNS = {"id": int, "theta_vrs": float, "group": dea_mod.EcoGroup}
+# The columns of dea_scores.csv and clusters.csv that later stages read.
+SCORE_COLUMNS = {"id": int, "theta_vrs": ds.checked(float, lambda theta: 0 < theta <= 1), "group": dea_mod.EcoGroup}
+CLUSTER_COLUMNS = {"complaint_id": int, "cluster": ds.checked(int, lambda cluster: cluster >= 0)}
+
+
+def _rows_for(keys: list, path: Path, parsers: dict) -> list[dict]:
+    """The row of the CSV file `path` for each of `keys`, found by its value
+    in the first column of `parsers`; a key no row has is an IngestionError
+    naming the file."""
+    table = ds.read_table(path, parsers)
+    missing = [key for key in keys if key not in table]
+    if missing:
+        raise IngestionError(f"{path}: no row with {missing[0]} in column {next(iter(parsers))!r}")
+    return [table[key] for key in keys]
 
 
 def _province_groups(provinces_path: Path, scores_path: Path) -> dict[int, dea_mod.EcoGroup]:
     """The group dea_scores.csv gives each province of provinces.csv."""
     provinces, _ = ds.load_provinces(provinces_path)
-    scores = _read_artifact(scores_path, SCORE_COLUMNS, [p.id for p in provinces])
-    return {p.id: scores[p.id][1] for p in provinces}
+    scores = _rows_for([p.id for p in provinces], scores_path, SCORE_COLUMNS)
+    return {p.id: score["group"] for p, score in zip(provinces, scores)}
 
 
 def _load_inputs(
@@ -111,12 +100,12 @@ def _load_inputs(
     complaint of complaints.jsonl with its cluster from clusters.csv, and
     the schema of provinces.csv."""
     provinces, schema = ds.load_provinces(provinces_path)
-    scores = _read_artifact(scores_path, SCORE_COLUMNS, [p.id for p in provinces])
+    scores = _rows_for([p.id for p in provinces], scores_path, SCORE_COLUMNS)
     complaints = ds.load_complaints(complaints_path)
-    clusters = _read_artifact(clusters_path, {"complaint_id": int, "cluster": int}, [c.id for c in complaints])
+    clusters = _rows_for([c.id for c in complaints], clusters_path, CLUSTER_COLUMNS)
     return (
-        [replace(p, eco_score=scores[p.id][0], eco_group=scores[p.id][1]) for p in provinces],
-        [replace(c, cluster_id=clusters[c.id][0]) for c in complaints],
+        [replace(p, eco_score=s["theta_vrs"], eco_group=s["group"]) for p, s in zip(provinces, scores)],
+        [replace(c, cluster_id=row["cluster"]) for c, row in zip(complaints, clusters)],
         schema,
     )
 
@@ -126,7 +115,7 @@ def _load_inputs(
 
 
 def stage_synth(spec: ds.SyntheticSpec, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     provinces, complaints, truth = ds.generate_synthetic(spec)
     ds.write_provinces(out_dir / "provinces.csv", provinces, ds.DEFAULT_SCHEMA)
     ds.write_complaints(out_dir / "complaints.jsonl", complaints)
@@ -139,7 +128,6 @@ def stage_synth(spec: ds.SyntheticSpec, out_dir: Path) -> dict:
 
 
 def stage_dea(provinces_path: Path, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     provinces, _ = ds.load_provinces(provinces_path)
     panel = dea_mod.DeaPanel(
         inputs=np.column_stack([p.env_inputs for p in provinces]),
@@ -149,6 +137,7 @@ def stage_dea(provinces_path: Path, out_dir: Path) -> dict:
     crs = dea_mod.dea_scores(panel, dea_mod.DeaOptions(rts=dea_mod.ReturnsToScale.CRS))
     vrs = dea_mod.dea_scores(panel, dea_mod.DeaOptions(rts=dea_mod.ReturnsToScale.VRS))
     groups = dea_mod.split_by_median(vrs)
+    _make_dir(out_dir)
     with (out_dir / "dea_scores.csv").open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "theta_crs", "theta_vrs", "group"])
@@ -196,7 +185,7 @@ def stage_cluster(
     key, count = ("cluster.k", options.k) if options.k is not None else ("cluster.k_max", options.k_max)
     if count > len(complaints):
         raise ConfigError(f"{key} must be at most the {len(complaints)} complaints, got {count}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     embeddings = np.array([c.embedding for c in complaints])
 
     wcss_report: dict[str, float]
@@ -275,8 +264,8 @@ def stage_train(
     config: gbm.TrainConfig,
     out_dir: Path,
 ) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    _make_dir(out_dir)
     columns = ds.classifier_columns(schema, max(c.cluster_id for c in complaints) + 1)
     matrix = ds.build_feature_matrix(provinces, complaints, columns, schema)
     cv = gbm.cross_validate(matrix.rows, matrix.target.astype(np.float64), config)
@@ -310,9 +299,9 @@ def stage_explain(
     out_dir: Path,
     archetype_input: str = "probs",
 ) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = gbm.load_model(model_path)
     provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    _make_dir(out_dir)
     columns = ds.classifier_columns(schema, max(c.cluster_id for c in complaints) + 1)
     matrix = ds.build_feature_matrix(provinces, complaints, columns, schema)
     if tuple(matrix.columns) != model.feature_names:
@@ -432,8 +421,8 @@ def stage_causal(
     seed: int,
     out_dir: Path,
 ) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    _make_dir(out_dir)
     matrix = ds.build_feature_matrix(provinces, complaints, options.covariates, schema)
     eco_group = {p.id: p.eco_group for p in provinces}
     data = causal_mod.CausalDataset(
@@ -593,7 +582,7 @@ def _set_override(raw: dict, assignment: str) -> None:
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run dea -> cluster -> train -> explain -> causal, then write summary.json."""
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     failed_marker = out / "FAILED"
     if failed_marker.exists():
         failed_marker.unlink()
@@ -818,8 +807,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             raw = json.loads(ds.read_text(config_path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config JSON: {exc}") from None
-        except IngestionError as exc:
-            raise ConfigError(str(exc)) from None
         for assignment in args.overrides:
             _set_override(raw, assignment)
         config = PipelineConfig.from_dict(raw, config_path.parent)
@@ -841,10 +828,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"ecoprod: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PipelineStageError as exc:
-        print(f"ecoprod: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except EcoprodError as exc:
+    except IngestionError as exc:
+        print(f"ecoprod: input error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except EcoprodError as exc:  # a PipelineStageError included
         print(f"ecoprod: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -121,16 +121,6 @@ DEFAULT_SCHEMA = ColumnSchema(
 )
 
 
-def _parse_real(raw: str, row: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise IngestionError(f"row {row}: non-numeric value {raw!r} in column '{column}'") from None
-    if not math.isfinite(value):
-        raise IngestionError(f"row {row}: non-finite value in column '{column}'")
-    return value
-
-
 def read_text(path: Path) -> str:
     """The whole file as UTF-8 text.  A file that cannot be read, or a byte
     that is not UTF-8, is an IngestionError naming the file (and the
@@ -146,59 +136,87 @@ def read_text(path: Path) -> str:
         raise IngestionError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
-def _province_rows(path: Path) -> tuple[ColumnSchema, typing.Iterator[list[str]]]:
-    """The schema the header of `provinces.csv` declares, and a reader of
-    the data rows after it."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, [])
-    if header[:2] != ["id", "name"]:
-        raise IngestionError(f"{path}: header must start with 'id,name'")
-    if "gdp_output" not in header:
-        raise IngestionError(f"{path}: header is missing 'gdp_output'")
-    split = header.index("gdp_output")
-    if split < 3:
-        raise IngestionError(f"{path}: header declares no env input columns")
-    return ColumnSchema(env_columns=tuple(header[2:split]), fiscal_columns=tuple(header[split + 1:])), reader
+def read_table(path: Path, parsers: dict | typing.Callable[[list[str]], dict]) -> dict:
+    """The data rows of the CSV file `path` as {key: {column: value}}: the
+    cells of the columns of `parsers` (or of the parsers it returns for the
+    header row) parsed by theirs, keyed by the first.  The header must name
+    each such column once, each row needs a cell per header column and a key
+    of its own, and a parser's ValueError rejects its cell; every breach is
+    an IngestionError naming the file, the 1-based line and the column."""
+    rows = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(rows, [])
+    if callable(parsers):
+        parsers = parsers(header)
+    for column in parsers:
+        if header.count(column) != 1:
+            fault = "repeated" if column in header else "missing"
+            raise IngestionError(f"{path}: line 1: {fault} column {column!r}")
+    key = next(iter(parsers))
+    table: dict = {}
+    for row in rows:
+        where = f"{path}: line {rows.line_num}"
+        if len(row) != len(header):
+            gap = (f"no cell in column {header[len(row)]!r}" if len(row) < len(header)
+                   else f"a cell past column {header[-1]!r}")
+            raise IngestionError(f"{where}: {len(row)} cells for {len(header)} columns, {gap}")
+        cells = dict(zip(header, row))
+        values = {}
+        for column, parse in parsers.items():
+            try:
+                values[column] = parse(cells[column])
+            except ValueError:
+                raise IngestionError(f"{where}: bad value {cells[column]!r} in column {column!r}") from None
+        if values[key] in table:
+            raise IngestionError(f"{where}: repeated value {values[key]!r} in column {key!r}")
+        table[values[key]] = values
+    return table
 
 
-def province_schema(path: str | Path) -> ColumnSchema:
-    """The schema the header of `provinces.csv` declares; parses no data row."""
-    return _province_rows(Path(path))[0]
+def checked(parse: typing.Callable[[str], typing.Any], check: typing.Callable[[typing.Any], bool]):
+    """A cell parser: `parse`, then a ValueError unless `check` holds."""
+    def parsed(raw: str):
+        value = parse(raw)
+        if not check(value):
+            raise ValueError(raw)
+        return value
+    return parsed
 
 
 def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema]:
-    """Read `provinces.csv` under the schema its header declares.
+    """Read `provinces.csv` under the schema its header declares: `id` an
+    int, env inputs finite and >= 0, `gdp_output` finite and > 0, fiscal
+    columns finite.  Errors name the file, line and column (`read_table`)."""
+    path = Path(path)
+    schema = DEFAULT_SCHEMA  # replaced by the header's
 
-    Errors name the offending data row (1-based) and column.
-    """
-    schema, reader = _province_rows(Path(path))
-    columns = schema.header()
-    records = []
-    for row_number, row in enumerate(reader, start=1):
-        if len(row) != len(columns):
-            raise IngestionError(f"row {row_number}: expected {len(columns)} cells, got {len(row)}")
-        cells = dict(zip(columns, row))
-        try:
-            province_id = int(cells["id"])
-        except ValueError:
-            raise IngestionError(f"row {row_number}: non-integer value in column 'id'") from None
-        env = np.array([_parse_real(cells[c], row_number, c) for c in schema.env_columns])
-        if np.any(env < 0):
-            bad = schema.env_columns[int(np.nonzero(env < 0)[0][0])]
-            raise IngestionError(f"row {row_number}: negative input in column '{bad}'")
-        gdp = _parse_real(cells["gdp_output"], row_number, "gdp_output")
-        if gdp <= 0:
-            raise IngestionError(f"row {row_number}: non-positive value in column 'gdp_output'")
-        fiscal = {c: _parse_real(cells[c], row_number, c) for c in schema.fiscal_columns}
-        records.append(
-            ProvinceRecord(
-                id=province_id,
-                name=cells["name"],
-                env_inputs=env,
-                gdp_output=gdp,
-                fiscal_features=fiscal,
-            )
+    def parsers(header: list[str]) -> dict:
+        nonlocal schema
+        if header[:2] != ["id", "name"]:
+            raise IngestionError(f"{path}: line 1: header must start with columns 'id', 'name'")
+        if "gdp_output" not in header:
+            raise IngestionError(f"{path}: line 1: missing column 'gdp_output'")
+        split = header.index("gdp_output")
+        if split < 3:
+            raise IngestionError(f"{path}: line 1: no env input column before column 'gdp_output'")
+        schema = ColumnSchema(env_columns=tuple(header[2:split]), fiscal_columns=tuple(header[split + 1:]))
+        return {
+            "id": int,
+            "name": str,
+            **dict.fromkeys(schema.env_columns, checked(float, lambda value: 0 <= value < math.inf)),
+            "gdp_output": checked(float, lambda value: 0 < value < math.inf),
+            **dict.fromkeys(schema.fiscal_columns, checked(float, math.isfinite)),
+        }
+
+    records = [
+        ProvinceRecord(
+            id=row["id"],
+            name=row["name"],
+            env_inputs=np.array([row[c] for c in schema.env_columns]),
+            gdp_output=row["gdp_output"],
+            fiscal_features={c: row[c] for c in schema.fiscal_columns},
         )
+        for row in read_table(path, parsers).values()
+    ]
     return records, schema
 
 

@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import finite_number
+from .dataset import finite_number, read_text
 from .errors import ConfigError, DegenerateSplitError, TrainingError
 from .seeding import derive_seed
 from .spectral import ClusterAssignment, kmeans
@@ -145,7 +145,7 @@ class TrainConfig:
             raise TrainingError("rounds must be >= 1")
         if not 0.0 < self.eta <= 1.0:
             raise TrainingError("eta must lie in (0, 1]")
-        if self.reg_lambda < 0:
+        if not self.reg_lambda >= 0:  # NaN too
             raise TrainingError("reg_lambda must be >= 0")
         if not self.min_child_cover >= 0:  # NaN too
             raise TrainingError("min_child_cover must be >= 0")
@@ -518,12 +518,11 @@ def save_model(model: BoostedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> BoostedModel:
     """Read a model dump; input that is not JSON or leaves the schema is a
-    ConfigError naming the file and the offending key."""
+    ConfigError naming the file and the offending key, and a byte that is
+    not UTF-8 an IngestionError naming the file and line."""
     try:
-        return model_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return model_from_json(json.loads(read_text(Path(path))))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"model file {path}: invalid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"model file {path}: byte {exc.object[exc.start]:#04x} is not UTF-8") from None
     except ConfigError as exc:
         raise ConfigError(f"model file {path}: {exc}") from None

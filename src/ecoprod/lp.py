@@ -1,8 +1,7 @@
 """Dense linear programming via two-phase primal simplex.
 
 Solves ``min c.x`` subject to row-wise relations ``A x {<=, >=, =} b`` and
-variable bounds ``lb <= x <= ub`` (lower bounds default to 0, upper bounds
-to +inf).  Bland's pivoting rule is used in both phases, so the solver
+``x >= 0``.  Bland's pivoting rule is used in both phases, so the solver
 terminates on every instance; the problems handled here are tiny (a few
 dozen variables), which makes the dense tableau and the slower rule cheap.
 
@@ -15,7 +14,7 @@ converted into a silently wrong answer: the solver raises
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,14 +41,12 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``min objective . x`` s.t. ``constraints x (relations) rhs``, bounds on x."""
+    """``min objective . x`` s.t. ``constraints x (relations) rhs`` and ``x >= 0``."""
 
     objective: np.ndarray
     constraints: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
-    lower: np.ndarray = field(default=None)  # type: ignore[assignment]
-    upper: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=np.float64)
@@ -67,33 +64,12 @@ class LinearProgram:
         for rel in self.relations:
             if rel not in _RELATIONS:
                 raise LpConstructionError(f"unknown relation {rel!r}")
-        lower = (
-            np.zeros(c.shape[0])
-            if self.lower is None
-            else np.asarray(self.lower, dtype=np.float64)
-        )
-        upper = (
-            np.full(c.shape[0], np.inf)
-            if self.upper is None
-            else np.asarray(self.upper, dtype=np.float64)
-        )
-        if lower.shape != c.shape or upper.shape != c.shape:
-            raise LpConstructionError("bound vectors must match variable count")
-        if not (
-            np.all(np.isfinite(c))
-            and np.all(np.isfinite(a))
-            and np.all(np.isfinite(b))
-            and np.all(np.isfinite(lower))
-        ):
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise LpConstructionError("non-finite entry in LP data")
-        if np.any(np.isnan(upper)) or np.any(upper < lower):
-            raise LpConstructionError("upper bound below lower bound")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraints", a)
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def n_variables(self) -> int:
@@ -164,7 +140,7 @@ def _bland_iterate(
             )
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve an LP with the two-phase simplex method.
 
     Returns a status-correct `LpSolution`; when the status is OPTIMAL the
@@ -172,21 +148,8 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     before returning, otherwise `SolverFailureError` is raised).
     """
     n = lp.n_variables
-
-    # Shift to x' = x - lb >= 0 and fold finite upper bounds into <= rows.
-    a_rows = [lp.constraints]
-    rel = list(lp.relations)
-    b = lp.rhs - lp.constraints @ lp.lower
-    b_rows = [b]
-    finite_upper = np.nonzero(np.isfinite(lp.upper))[0]
-    if finite_upper.size:
-        bound_rows = np.zeros((finite_upper.size, n))
-        bound_rows[np.arange(finite_upper.size), finite_upper] = 1.0
-        a_rows.append(bound_rows)
-        b_rows.append(lp.upper[finite_upper] - lp.lower[finite_upper])
-        rel.extend([LESS_EQUAL] * finite_upper.size)
-    a = np.vstack(a_rows)
-    b = np.concatenate(b_rows)
+    a = lp.constraints.copy()
+    b = lp.rhs.copy()
     m = a.shape[0]
 
     # Normalize to non-negative rhs.
@@ -197,11 +160,10 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[r]
         if flipped
         else r
-        for r, flipped in zip(rel, flip)
+        for r, flipped in zip(lp.relations, flip)
     ]
 
-    if max_iterations is None:
-        max_iterations = max(500, 100 * (m + n))
+    max_iterations = max(500, 100 * (m + n))
 
     # Column layout: structural | slack/surplus | artificial.
     n_slack = sum(r != EQUAL for r in rel)
@@ -283,9 +245,9 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, total_iterations)
 
-    x_shift = np.zeros(n_total)
-    x_shift[basis] = tableau[:m, -1]
-    x = x_shift[:n] + lp.lower
+    x = np.zeros(n_total)
+    x[basis] = tableau[:m, -1]
+    x = x[:n]
 
     violation = _max_violation(lp, x)
     if violation > FEASIBILITY_TOL:
@@ -297,7 +259,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
 
 
 def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest absolute violation of any constraint or bound at x."""
+    """Largest absolute violation of any constraint, or of x >= 0, at x."""
     lhs = lp.constraints @ x
     worst = 0.0
     for i, r in enumerate(lp.relations):
@@ -307,8 +269,5 @@ def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
             worst = max(worst, lp.rhs[i] - lhs[i])
         else:
             worst = max(worst, abs(lhs[i] - lp.rhs[i]))
-    worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
-    finite = np.isfinite(lp.upper)
-    if np.any(finite):
-        worst = max(worst, float(np.max((x - lp.upper)[finite], initial=0.0)))
+    worst = max(worst, float(np.max(-x, initial=0.0)))
     return float(worst)

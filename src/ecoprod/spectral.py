@@ -136,13 +136,10 @@ def normalized_laplacian(w: SimilarityMatrix | np.ndarray) -> NormalizedLaplacia
     return NormalizedLaplacian(matrix=lap, degrees=degrees)
 
 
-def spectral_embed(lap: NormalizedLaplacian, k: int, row_normalize: bool = True) -> np.ndarray:
-    """Eigenvectors of the k smallest eigenvalues, one embedding row per node.
-
-    Rows are scaled to unit Euclidean length by default (the usual companion
-    step for the symmetric normalization); pass row_normalize=False to keep
-    the raw orthonormal eigenvector columns.
-    """
+def spectral_embed(lap: NormalizedLaplacian, k: int) -> np.ndarray:
+    """Eigenvectors of the k smallest eigenvalues, one embedding row per node,
+    each row scaled to unit Euclidean length (the usual companion step for
+    the symmetric normalization)."""
     n = lap.matrix.shape[0]
     if not 1 <= k <= n:
         raise ClusteringError(f"k={k} outside [1, {n}]")
@@ -150,11 +147,9 @@ def spectral_embed(lap: NormalizedLaplacian, k: int, row_normalize: bool = True)
         _, vectors = scipy.linalg.eigh(lap.matrix, subset_by_index=(0, k - 1))
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise EigenSolverError(f"eigendecomposition failed: {exc}") from exc
-    if row_normalize:
-        norms = np.linalg.norm(vectors, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        vectors = vectors / safe[:, None]
-    return vectors
+    norms = np.linalg.norm(vectors, axis=1)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return vectors / safe[:, None]
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -276,6 +276,7 @@ CONFIG_ERRORS = [
     ("cluster.k_max", 2),
     ("causal.covariates", ["sentiment", "bogus"]),
     ("train.min_child_cover", -1.0),
+    ("train.lambda", float("nan")),
 ]
 
 
@@ -322,9 +323,9 @@ def test_cluster_stage_solves_the_observed_embedding_once(fixture_dir, tmp_path,
     calls = []
     original = spectral.spectral_embed
 
-    def counting(lap, k, row_normalize=True):
+    def counting(lap, k):
         calls.append(k)
-        return original(lap, k, row_normalize)
+        return original(lap, k)
 
     monkeypatch.setattr(spectral, "spectral_embed", counting)
     cli.stage_cluster(fixture_dir / "complaints.jsonl", cli.ClusterOptions(k=3, permutations=4), 11, tmp_path)
@@ -376,6 +377,31 @@ def drop_column(lines, column):
     return [",".join(c for i, c in enumerate(line.split(",")) if i != index) for line in lines]
 
 
+def repeat_column(lines, column):
+    index = lines[0].split(",").index(column)
+    return [line + "," + line.split(",")[index] for line in lines]
+
+
+def set_cell(lines, number, column, value):
+    """`lines` with the cell of `column` on 1-based line `number` set to `value`."""
+    cells = lines[number - 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    return [*lines[:number - 1], ",".join(cells), *lines[number:]]
+
+
+def reader_faults(name, key, column):
+    """The four faults the CSV reader rejects in any of its files."""
+    last = {"provinces.csv": "fiscal_general_services", "dea_scores.csv": "group", "clusters.csv": "cluster"}[name]
+    stem = name.split(".")[0]
+    return {
+        f"{stem}-repeated-column": (name, lambda lines: repeat_column(lines, column), 1, column),
+        # line 4 again, as line 6
+        f"{stem}-repeated-key": (name, lambda lines: [*lines[:5], lines[3], *lines[5:]], 6, key),
+        f"{stem}-nan-cell": (name, lambda lines: set_cell(lines, 4, column, "nan"), 4, column),
+        f"{stem}-short-row": (name, lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]], 3, last),
+    }
+
+
 ARTIFACT_FAULTS = {
     # name: (file, edit of its lines, 1-based line, column named)
     "missing-column": ("dea_scores.csv", lambda lines: drop_column(lines, "theta_vrs"), 1, "theta_vrs"),
@@ -384,27 +410,74 @@ ARTIFACT_FAULTS = {
     "repeated-row": ("dea_scores.csv", lambda lines: [*lines, lines[3]], 16, "id"),
     "unknown-group": ("dea_scores.csv", lambda lines: [*lines[:4], lines[4].rsplit(",", 1)[0] + ",Medium",
                                                       *lines[5:]], 5, "group"),
+    **reader_faults("provinces.csv", "id", "env_water_emissions"),
+    **reader_faults("dea_scores.csv", "id", "theta_vrs"),
+    **reader_faults("clusters.csv", "complaint_id", "cluster"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(ARTIFACT_FAULTS))
 def test_bad_artifact_exits_2_naming_file_line_and_column(fixture_dir, tmp_path, capsys, fault):
     name, edit, line, column = ARTIFACT_FAULTS[fault]
-    for artifact in ("dea_scores.csv", "clusters.csv"):
-        lines = (fixture_dir / "run_a" / artifact).read_text().splitlines()
-        if artifact == name:
+    for source in (fixture_dir / "provinces.csv", fixture_dir / "run_a" / "dea_scores.csv",
+                   fixture_dir / "run_a" / "clusters.csv"):
+        lines = source.read_text().splitlines()
+        if source.name == name:
             lines = edit(lines)
-        (tmp_path / artifact).write_text("\n".join(lines) + "\n")
+        (tmp_path / source.name).write_text("\n".join(lines) + "\n")
+    named = f"{tmp_path / name}: line {line}:"
     rc = cli.main([
-        "causal", "--provinces", str(fixture_dir / "provinces.csv"),
+        "causal", "--provinces", str(tmp_path / "provinces.csv"),
         "--complaints", str(fixture_dir / "complaints.jsonl"),
         "--dea-scores", str(tmp_path / "dea_scores.csv"), "--clusters", str(tmp_path / "clusters.csv"),
         "--out", str(tmp_path / "out"), "--method", "diffmeans", "--bootstrap", "0",
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert name in err and f"line {line}:" in err and f"'{column}'" in err
-    assert not (tmp_path / "out" / "ate_report.json").exists()
+    assert named in err and f"column '{column}'" in err
+    assert not (tmp_path / "out").exists()
+    if name != "provinces.csv":
+        return
+    # dea reads provinces.csv alone; the pipeline reads it at config time
+    rc = cli.main(["dea", "--provinces", str(tmp_path / "provinces.csv"), "--out", str(tmp_path / "dea")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and f"column '{column}'" in err
+    assert not (tmp_path / "dea" / "dea_scores.csv").exists()
+    config = small_config("run")
+    config["inputs"]["complaints"] = str(fixture_dir / "complaints.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["pipeline", "--config", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and f"column '{column}'" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "dea", "cluster", "train", "explain", "causal", "pipeline"])
+def test_output_path_naming_a_file_exits_2(fixture_dir, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    run = fixture_dir / "run_a"
+    inputs = ["--provinces", fixture_dir / "provinces.csv", "--complaints", fixture_dir / "complaints.jsonl",
+              "--dea-scores", run / "dea_scores.csv", "--clusters", run / "clusters.csv"]
+    argv = {
+        "synth": ["synth", *SYNTH_ARGS],
+        "dea": ["dea", "--provinces", fixture_dir / "provinces.csv"],
+        "cluster": ["cluster", "--complaints", fixture_dir / "complaints.jsonl", "--k", "3"],
+        "train": ["train", *inputs],
+        "explain": ["explain", *inputs, "--model", run / "model.json"],
+        "causal": ["causal", *inputs, "--method", "diffmeans", "--bootstrap", "0"],
+    }.get(command, [])
+    if command == "pipeline":
+        config = {**small_config(str(taken)), "inputs": {"provinces": str(fixture_dir / "provinces.csv"),
+                                                         "complaints": str(fixture_dir / "complaints.jsonl")}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = ["pipeline", "--config", tmp_path / "config.json"]
+    else:
+        argv += ["--out", taken]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert f"cannot create output directory {taken}" in capsys.readouterr().err
+    assert taken.read_text() == "a file\n"
 
 
 def leftmost(node, path):
@@ -497,7 +570,7 @@ def test_non_utf8_input_names_file_and_line(fixture_dir, tmp_path, capsys, name)
         "--dea-scores", str(tmp_path / "dea_scores.csv"), "--clusters", str(tmp_path / "clusters.csv"),
         "--out", str(tmp_path / "out"), "--method", "diffmeans", "--bootstrap", "0",
     ])
-    assert rc in (1, 2)
+    assert rc == 2
     assert f"{tmp_path / name}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
     assert not (tmp_path / "out" / "ate_report.json").exists()
 

@@ -7,13 +7,12 @@ from ecoprod.errors import LpConstructionError
 from oracles import vertex_minimize
 
 
-def make_lp(c, a, rel, b, upper=None):
+def make_lp(c, a, rel, b):
     return lp.LinearProgram(
         objective=np.asarray(c, dtype=float),
         constraints=np.asarray(a, dtype=float),
         relations=tuple(rel),
         rhs=np.asarray(b, dtype=float),
-        upper=None if upper is None else np.asarray(upper, dtype=float),
     )
 
 
@@ -67,7 +66,7 @@ def test_dimension_mismatch_is_construction_error():
 
 
 def _random_bounded_lp(rng):
-    """Random LP that is feasible (0 is inside) and bounded (box rows)."""
+    """Random LP that is feasible (0 is inside) and bounded (box rows x <= upper)."""
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, 7))
     a = rng.uniform(-2.0, 2.0, (m, n))
@@ -76,7 +75,7 @@ def _random_bounded_lp(rng):
     b = np.where(rel == "<=", rng.uniform(0.0, 3.0, m), -rng.uniform(0.0, 3.0, m))
     c = rng.uniform(-1.0, 1.0, n)
     upper = rng.uniform(1.0, 5.0, n)
-    return make_lp(c, a, rel.tolist(), b, upper=upper)
+    return make_lp(c, np.vstack([a, np.eye(n)]), [*rel.tolist(), *["<="] * n], np.concatenate([b, upper]))
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -85,10 +84,7 @@ def test_random_lps_match_vertex_enumeration():
         program = _random_bounded_lp(rng)
         solution = lp.solve(program)
         assert solution.status is lp.LpStatus.OPTIMAL
-        oracle = vertex_minimize(
-            program.objective, program.constraints, program.relations, program.rhs,
-            upper=program.upper,
-        )
+        oracle = vertex_minimize(program.objective, program.constraints, program.relations, program.rhs)
         assert oracle is not None
         assert solution.objective_value == pytest.approx(oracle[0], abs=1e-7)
 
@@ -109,7 +105,6 @@ def test_optimal_solution_respects_constraints_and_bounds():
             else:
                 assert lhs[i] == pytest.approx(program.rhs[i], abs=1e-8)
         assert np.all(x >= -1e-8)
-        assert np.all(x <= program.upper + 1e-8)
         assert solution.objective_value == pytest.approx(float(program.objective @ x), abs=1e-9)
 
 
@@ -118,7 +113,7 @@ def test_bland_terminates_within_iteration_budget():
     for _ in range(40):
         program = _random_bounded_lp(rng)
         solution = lp.solve(program)
-        m = program.n_constraints + program.n_variables  # box rows fold in
+        m = program.n_constraints  # box rows included
         assert solution.iterations <= 100 * (m + program.n_variables)
 
 

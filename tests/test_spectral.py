@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,9 +121,13 @@ def test_embed_columns_orthonormal_before_row_normalization():
     rng = np.random.default_rng(3)
     sim = spectral.similarity(rng.standard_normal((25, 6)))
     lap = spectral.normalized_laplacian(sim)
-    raw = spectral.spectral_embed(lap, 4, row_normalize=False)
+    embedding = spectral.spectral_embed(lap, 4)
+    _, raw = scipy.linalg.eigh(lap.matrix, subset_by_index=(0, 3))
     gram = raw.T @ raw
     assert gram == pytest.approx(np.eye(4), abs=1e-8)
+    # the embedding is those eigenvector rows scaled to unit length
+    unit_rows = raw / np.linalg.norm(raw, axis=1)[:, None]
+    assert np.abs(embedding) == pytest.approx(np.abs(unit_rows), abs=1e-10)
 
 
 # --- k-means ----------------------------------------------------------------
