@@ -184,8 +184,8 @@ def checked(parse: typing.Callable[[str], typing.Any], check: typing.Callable[[t
 
 def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema]:
     """Read `provinces.csv` under the schema its header declares: `id` an
-    int, env inputs finite and >= 0, `gdp_output` finite and > 0, fiscal
-    columns finite.  Errors name the file, line and column (`read_table`)."""
+    int, env inputs finite, >= 0 and not all 0, `gdp_output` finite and > 0,
+    fiscal columns finite.  Errors name the file, the line and the columns."""
     path = Path(path)
     schema = DEFAULT_SCHEMA  # replaced by the header's
 
@@ -207,6 +207,14 @@ def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema
             **dict.fromkeys(schema.fiscal_columns, checked(float, math.isfinite)),
         }
 
+    table = read_table(path, parsers)
+    for index, row in enumerate(table.values()):
+        if not any(row[c] > 0 for c in schema.env_columns):
+            rows = csv.reader(io.StringIO(read_text(path), newline=""))
+            for _ in range(index + 2):  # the header, then the data rows up to this one
+                next(rows)
+            columns = ", ".join(map(repr, schema.env_columns))
+            raise IngestionError(f"{path}: line {rows.line_num}: every env input is 0 in columns {columns}")
     records = [
         ProvinceRecord(
             id=row["id"],
@@ -215,7 +223,7 @@ def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema
             gdp_output=row["gdp_output"],
             fiscal_features={c: row[c] for c in schema.fiscal_columns},
         )
-        for row in read_table(path, parsers).values()
+        for row in table.values()
     ]
     return records, schema
 

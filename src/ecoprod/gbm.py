@@ -8,8 +8,8 @@ search (every boundary between sorted distinct feature values is scored),
 
 and leaves take the Newton weight -G/(H + lambda).  The logistic objective
 (g = p - y, h = p(1 - p)) powers the co-production classifier; a squared
-objective (g = pred - y, h = 1, optionally sample-weighted) backs the
-regressors the treatment-effect meta-learners need.
+objective (g = pred - y, h = 1) backs the regressors the treatment-effect
+meta-learners need.  Neither is weighted: a node's cover is its row count.
 
 Split search runs on presorted column blocks (Chen & Guestrin, KDD 2016,
 section 4.1).  Each fit sorts every column once with a stable argsort into a
@@ -21,9 +21,9 @@ row index).  A node's block is therefore exactly what a stable argsort of
 the node's rows (held in ascending order) would give.  The children of a
 node one level above `max_depth` are leaves and get no block.
 
-A node's candidate boundaries are the block positions after which the value
-rises and where both sides keep a cover of at least `min_child_cover`.
-Neither the matrix nor the cover weights change during a fit, so the root's
+A node's candidate boundaries are the block positions j < m - 1 (of m rows)
+after which the value rises and both sides, j + 1 and m - j - 1 rows, keep
+`min_child_cover`.  The matrix does not change during a fit, so the root's
 sorted values and candidates (its "view") are found once per fit, not once
 per round; other nodes find theirs from their block.  The search then
 gathers the prefix sums of g and h at the candidates only, feature-major,
@@ -36,14 +36,15 @@ unchanged.  One argmax over the feature-major candidates returns the first
 maximum: the first feature among those with the best gain, at its first
 best boundary, which is what a per-feature argmax followed by an argmax
 over features gives.  A gain must exceed 1e-12.  A feature with a NaN gain
-(0/0 at an empty-hessian boundary when lambda is 0) is skipped, as it is
-when its own argmax picks the NaN.  The flat argmax also returns the first
-NaN, so only then are the gains of every feature holding a NaN set to -inf
-and the argmax taken again.  Each leaf adds its weight to the round's
-update vector as it is grown, so no tree walk follows a round.
+(0/0 when lambda is 0 and a side holds only rows whose p rounds to 0 or 1)
+is skipped, as it is when its own argmax picks the NaN.  The flat argmax
+also returns the first NaN, so only then are the gains of every feature
+holding a NaN set to -inf and the argmax taken again.  Each leaf adds its
+weight to the round's update vector as it is grown, so no tree walk follows
+a round.
 
 Trees route strictly-less-than-threshold to the left child and record the
-training sample count as the node cover, which the Shapley attribution pass
+training row count as the node cover, which the Shapley attribution pass
 reuses as its background distribution.
 """
 
@@ -84,7 +85,7 @@ def _number(value, where: str):
 @dataclass
 class TreeNode:
     """Internal node (feature/threshold/children) or leaf (weight); cover is
-    the training sample weight that reached the node."""
+    the number of training rows that reached the node."""
 
     cover: float
     feature: int | None = None
@@ -205,30 +206,29 @@ class _Presorted:
     """One fit's training matrix, presorted for split search.
 
     `block` is the presorted block: row f lists the rows by ascending feature
-    f, ties by ascending row index.  Neither `x` nor the cover weights change
-    during a fit, so the root's sorted values and candidate boundaries are
-    found once here (`root`) and reused by every round."""
+    f, ties by ascending row index.  `x` does not change during a fit, so the
+    root's sorted values and candidate boundaries are found once here
+    (`root`) and reused by every round."""
 
-    def __init__(self, x_matrix: np.ndarray, weights: np.ndarray, min_child_cover: float):
+    def __init__(self, x_matrix: np.ndarray, min_child_cover: float):
         self.columns = np.ascontiguousarray(x_matrix.T)
         n_features, n = self.columns.shape
         self.offsets = np.arange(n_features)[:, None] * n  # start of feature f in columns.ravel()
-        self.weights = weights
         self.min_child_cover = min_child_cover
         self.rows = np.arange(n)
         self.block = np.argsort(self.columns, axis=1, kind="stable")
-        self.root = self.boundaries(self.rows, self.block)
+        self.root = self.boundaries(self.block)
 
-    def boundaries(self, rows: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def boundaries(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The node's sorted values (features x rows) and the flat positions in
         them of its candidate boundaries: the value rises after the position,
         and both sides keep a cover of at least `min_child_cover`."""
         xs = self.columns.ravel()[block + self.offsets]
-        left_cover = np.cumsum(self.weights[block], axis=1)
-        right_cover = self.weights[rows].sum() - left_cover
-        candidate = (left_cover >= self.min_child_cover) & (right_cover >= self.min_child_cover)
-        candidate[:, :-1] &= xs[:, 1:] > xs[:, :-1]
-        candidate[:, -1] = False
+        m = block.shape[1]
+        left = np.arange(1, m)  # rows at or before positions 0 .. m - 2
+        covered = (left >= self.min_child_cover) & (m - left >= self.min_child_cover)
+        candidate = np.zeros(xs.shape, dtype=bool)
+        candidate[:, :-1] = (xs[:, 1:] > xs[:, :-1]) & covered
         return xs, np.flatnonzero(candidate)
 
 
@@ -283,11 +283,11 @@ def _grow_tree(
     """Grow the subtree over `rows` (ascending) with sorted block `block`
     (None at `max_depth`) and, if already known, its boundary `view`; each
     leaf adds its weight to `update` at its rows."""
-    cover = float(data.weights[rows].sum())
+    cover = float(rows.shape[0])
     split = None
     if depth < config.max_depth and rows.shape[0] > 1:
         if view is None:
-            view = data.boundaries(rows, block)
+            view = data.boundaries(block)
         split = _best_split(rows, block, view, g, h, config.reg_lambda)
     if split is None:
         weight = float(-g[rows].sum() / (h[rows].sum() + config.reg_lambda))
@@ -319,6 +319,8 @@ def _validate_inputs(x_matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, n
         raise TrainingError("non-finite feature value")
     if y.shape != (x_matrix.shape[0],):
         raise TrainingError("target length does not match row count")
+    if not y.shape[0]:
+        raise TrainingError("no training rows")
     return x_matrix, y
 
 
@@ -344,7 +346,7 @@ def train_classifier(
         objective="logistic",
     )
     n = x_matrix.shape[0]
-    data = _Presorted(x_matrix, np.ones(n), config.min_child_cover)
+    data = _Presorted(x_matrix, config.min_child_cover)
     margins = np.full(n, model.base_score)
     p = 1.0 / (1.0 + np.exp(-margins))
     loss = _logistic_loss(y, p)
@@ -366,31 +368,19 @@ def train_classifier(
     return model
 
 
-def train_regressor(
-    x_matrix: np.ndarray,
-    y: np.ndarray,
-    config: TrainConfig,
-    feature_names: tuple[str, ...] | None = None,
-    sample_weight: np.ndarray | None = None,
-) -> BoostedModel:
-    """Boosted squared-loss regressor (optionally sample-weighted)."""
+def train_regressor(x_matrix: np.ndarray, y: np.ndarray, config: TrainConfig) -> BoostedModel:
+    """Boosted squared-loss regressor."""
     x_matrix, y = _validate_inputs(x_matrix, y)
-    if feature_names is None:
-        feature_names = tuple(f"f{j}" for j in range(x_matrix.shape[1]))
     n = x_matrix.shape[0]
-    weights = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    if weights.shape != (n,) or np.any(weights < 0) or not np.all(np.isfinite(weights)) or not weights.sum():
-        raise TrainingError("sample weights must be finite and non-negative with a positive sum")
-
     model = BoostedModel(
-        trees=[], eta=config.eta, base_score=float(np.average(y, weights=weights)),
-        feature_names=tuple(feature_names), objective="squared",
+        trees=[], eta=config.eta, base_score=float(np.mean(y)),
+        feature_names=tuple(f"f{j}" for j in range(x_matrix.shape[1])), objective="squared",
     )
-    data = _Presorted(x_matrix, weights, config.min_child_cover)
+    data = _Presorted(x_matrix, config.min_child_cover)
     preds = np.full(n, model.base_score)
+    h = np.ones(n)
     for _ in range(config.rounds):
-        g = weights * (preds - y)
-        h = weights.copy()
+        g = preds - y
         update = np.zeros(n)
         tree = _grow_tree(data, data.rows, data.block, data.root, g, h, config, 0, update)
         model.trees.append(tree)

@@ -1,11 +1,11 @@
 """Spectral clustering of complaint embeddings and its validation tooling.
 
 Pipeline: Gaussian similarity with median-distance bandwidth -> symmetric
-normalized Laplacian -> eigenvectors of the k smallest eigenvalues (rows
-optionally normalized to unit length) -> k-means.  The cluster count can be
-picked by the elbow rule on the within-cluster sum of squares, and cluster
-stability is checked with a permutation test that independently shuffles
-every embedding column and compares mean silhouette scores.
+normalized Laplacian -> eigenvectors of the k smallest eigenvalues ->
+k-means.  The cluster count can be picked by the elbow rule on the
+within-cluster sum of squares, and cluster stability is checked with a
+permutation test that independently shuffles every embedding column and
+compares mean silhouette scores.
 
 Descriptive helpers cover the per-cluster co-production rates and the
 high/low-group centroid shift used in the reporting stage.

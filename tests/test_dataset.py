@@ -61,6 +61,17 @@ def test_load_provinces_negative_input_named(tmp_path):
         ds.load_provinces(path)
 
 
+def test_load_provinces_all_zero_env_row_names_line_and_columns(tmp_path):
+    columns = re.escape("columns 'in1', 'in2'")
+    path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,3.0,10.0\n2,Beta,0,0.0,10.0\n")
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: line 3: ") + ".*" + columns):
+        ds.load_provinces(path)
+    # a quoted name that spans two lines moves the row after it down a line
+    path = write(tmp_path, 'id,name,in1,in2,gdp_output\n1,"Al\npha",2.0,3.0,10.0\n2,Beta,0,0,10.0\n')
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: line 4: ") + ".*" + columns):
+        ds.load_provinces(path)
+
+
 def test_province_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(3)
     schema = ds.DEFAULT_SCHEMA

@@ -112,19 +112,16 @@ def test_model_json_round_trip(tmp_path):
 
 def _equivalence_case(name):
     """Matrices that stress the presorted-block bookkeeping: ties, constants,
-    uneven and zero weights, a binding cover floor, and tiny nodes."""
+    rounded values, a binding cover floor, and tiny nodes."""
     rng = np.random.default_rng(sum(map(ord, name)))
-    weights = None
     config = gbm.TrainConfig(rounds=6, max_depth=3, eta=0.3)
     if name == "tied-integers":
         x = rng.integers(0, 3, (80, 4)).astype(float)
     elif name == "constant-column":
         x = rng.standard_normal((60, 3))
         x[:, 1] = 2.5
-    elif name == "uneven-weights":
+    elif name == "rounded-values":
         x = np.round(rng.standard_normal((70, 3)), 1)
-        weights = rng.choice([0.0, 0.25, 1.0, 4.0], 70)
-        weights[:10] = 0.0
     elif name == "binding-cover":
         x = rng.integers(0, 6, (50, 3)).astype(float)
         config = gbm.TrainConfig(rounds=6, max_depth=4, eta=0.3, min_child_cover=9.0)
@@ -132,7 +129,7 @@ def _equivalence_case(name):
         x = rng.integers(0, 4, (9, 3)).astype(float)
         config = gbm.TrainConfig(rounds=6, max_depth=4, eta=0.5, min_child_cover=0.0)
     y = (x[:, 0] + rng.standard_normal(x.shape[0]) > np.median(x[:, 0])).astype(float)
-    return x, y, weights, config
+    return x, y, config
 
 
 def _leaf_covers(node):
@@ -141,20 +138,20 @@ def _leaf_covers(node):
     return _leaf_covers(node["left"]) + _leaf_covers(node["right"])
 
 
-EQUIVALENCE_CASES = ("tied-integers", "constant-column", "uneven-weights", "binding-cover", "tiny-nodes")
+EQUIVALENCE_CASES = ("tied-integers", "constant-column", "rounded-values", "binding-cover", "tiny-nodes")
 
 
 @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
 def test_presorted_blocks_match_per_node_sort_oracle(name):
-    x, y, weights, config = _equivalence_case(name)
+    x, y, config = _equivalence_case(name)
     classifier = gbm.train_classifier(x, y, config)
     expected, losses = reference_boosted_classifier(x, y, config)
     assert json.dumps(gbm.model_to_json(classifier), sort_keys=True) == json.dumps(expected, sort_keys=True)
     assert classifier.training_loss == losses
 
     target = x @ np.arange(1.0, x.shape[1] + 1.0) + np.random.default_rng(0).standard_normal(x.shape[0])
-    regressor = gbm.train_regressor(x, target, config, sample_weight=weights)
-    expected = reference_boosted_regressor(x, target, config, sample_weight=weights)
+    regressor = gbm.train_regressor(x, target, config)
+    expected = reference_boosted_regressor(x, target, config)
     assert json.dumps(gbm.model_to_json(regressor), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
     covers = [c for tree in expected["trees"] for c in _leaf_covers(tree)]
@@ -169,8 +166,7 @@ def test_presorted_blocks_match_per_node_sort_oracle(name):
 def _fuzz_case(index):
     """A small seeded fit that varies what split search must get right:
     tied, constant and continuous columns, depths 1-4, no cover floor or a
-    binding one, and in half the cases `reg_lambda` 0 with zero regressor
-    weights, whose empty-hessian boundaries give NaN gains."""
+    binding one, and `reg_lambda` 0 in half the cases."""
     rng = np.random.default_rng([7, index])
     n, n_features = int(rng.integers(6, 40)), int(rng.integers(1, 5))
     kind = index % 3
@@ -184,47 +180,94 @@ def _fuzz_case(index):
     y = (x[:, 0] + rng.standard_normal(n) > 0).astype(float)
     y[:2] = (0.0, 1.0)
     floor = 0.0 if index % 2 else float(rng.integers(2, max(3, n // 3)))
-    weights = None
-    reg_lambda = 1.0
-    if index % 4 < 2:
-        weights = rng.choice([0.0, 1.0, 2.0], n)
-        weights[0] = 1.0
-        reg_lambda = 0.0
     config = gbm.TrainConfig(
-        rounds=3, max_depth=1 + index // 4 % 4, eta=0.5, reg_lambda=reg_lambda,
+        rounds=3, max_depth=1 + index // 4 % 4, eta=0.5, reg_lambda=0.0 if index % 4 < 2 else 1.0,
         min_child_cover=floor,
     )
-    return x, y, x @ np.arange(1.0, n_features + 1.0) + rng.standard_normal(n), weights, config
+    return x, y, x @ np.arange(1.0, n_features + 1.0) + rng.standard_normal(n), config
 
 
 FUZZ_CASES = 200
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered in.*divide:RuntimeWarning")
-def test_split_search_matches_oracle_on_random_fits(monkeypatch):
-    flags = []
-    reference_split = oracles._reference_split
-
-    def flagging_split(*args):
-        # the oracle divides without suppressing warnings, so a NaN gain at a
-        # boundary raises the "invalid" flag; with no cover floor and integer
-        # weights every boundary is a candidate
-        with np.errstate(invalid="call", call=lambda *_: flags.append(1)):
-            return reference_split(*args)
-
-    monkeypatch.setattr(oracles, "_reference_split", flagging_split)
-    nan_cases = 0
+def test_split_search_matches_oracle_on_random_fits():
     for index in range(FUZZ_CASES):
-        x, y, target, weights, config = _fuzz_case(index)
+        x, y, target, config = _fuzz_case(index)
         classifier = gbm.train_classifier(x, y, config)
         expected, losses = reference_boosted_classifier(x, y, config)
         assert json.dumps(gbm.model_to_json(classifier)) == json.dumps(expected), index
         assert classifier.training_loss == losses, index
-        flags.clear()
-        regressor = gbm.train_regressor(x, target, config, sample_weight=weights)
-        expected = reference_boosted_regressor(x, target, config, sample_weight=weights)
+        regressor = gbm.train_regressor(x, target, config)
+        expected = reference_boosted_regressor(x, target, config)
         assert json.dumps(gbm.model_to_json(regressor)) == json.dumps(expected), index
-        nan_cases += bool(flags) and config.min_child_cover == 0.0
+
+
+def _assert_covers_count_rows(node, x, rows, floor, where):
+    """Check that `node` (a model.json tree) and every node below it cover
+    exactly the training `rows` routed to them, and that each child of a split
+    holds at least max(1, floor) rows."""
+    assert node["cover"] == float(rows.shape[0]), where
+    if "weight" in node:
+        return
+    goes_left = x[rows, node["feature"]] < node["threshold"]
+    for side, child_rows in (("left", rows[goes_left]), ("right", rows[~goes_left])):
+        assert child_rows.shape[0] >= max(1.0, floor), f"{where}.{side}"
+        _assert_covers_count_rows(node[side], x, child_rows, floor, f"{where}.{side}")
+
+
+def test_covers_count_the_training_rows_on_random_fits():
+    for index in range(FUZZ_CASES):
+        x, y, target, config = _fuzz_case(index)
+        for model in (gbm.train_classifier(x, y, config), gbm.train_regressor(x, target, config)):
+            for t, tree in enumerate(gbm.model_to_json(model)["trees"]):
+                _assert_covers_count_rows(tree, x, np.arange(x.shape[0]), config.min_child_cover,
+                               f"case {index} trees[{t}]")
+
+
+SPLIT_CASES = 200
+
+
+def _saturated_node(index):
+    """A seeded node for one split search with `reg_lambda` 0: the rows of a
+    tied, rounded or continuous matrix (all of them, or a random subset), and
+    logistic gradients with h = 0 and g = 0 on about half the rows, as for
+    rows whose p rounds to exactly 0 or 1.  A boundary with only such rows on
+    one side scores 0/0."""
+    rng = np.random.default_rng([11, index])
+    n, n_features = int(rng.integers(4, 40)), int(rng.integers(1, 5))
+    kind = index % 3
+    if kind == 0:
+        x = rng.integers(0, 3, (n, n_features)).astype(float)
+    elif kind == 1:
+        x = np.round(rng.standard_normal((n, n_features)), 1)
+    else:
+        x = rng.standard_normal((n, n_features))
+    p = rng.random(n)
+    g = p - (rng.random(n) < 0.5)
+    h = p * (1.0 - p)
+    saturated = rng.random(n) < 0.5
+    g[saturated] = h[saturated] = 0.0
+    floor = 0.0 if index % 2 else float(rng.integers(1, max(2, n // 4)))
+    in_node = np.ones(n, dtype=bool) if index % 4 < 2 else rng.random(n) < 0.7
+    in_node[:2] = True
+    return x, in_node, g, h, floor
+
+
+def test_split_search_skips_nan_gains_like_the_oracle():
+    nan_cases = 0
+    for index in range(SPLIT_CASES):
+        x, in_node, g, h, floor = _saturated_node(index)
+        data = gbm._Presorted(x, floor)
+        rows = np.flatnonzero(in_node)
+        block = data.block[in_node[data.block]].reshape(x.shape[1], -1)
+        found = gbm._best_split(rows, block, data.boundaries(block), g, h, 0.0)
+        flags = []
+        # the oracle divides without suppressing warnings, so a NaN gain at a
+        # boundary raises the "invalid" flag
+        with np.errstate(invalid="call", call=lambda *_: flags.append(1)), np.errstate(divide="ignore"):
+            expected = oracles._reference_split(x, rows, g, h, np.ones(x.shape[0]), 0.0, floor)
+        assert found == expected, index
+        nan_cases += bool(flags)
     assert nan_cases >= 20
 
 
@@ -237,11 +280,10 @@ def test_regressor_fits_smooth_target():
     assert float(np.mean((preds - y) ** 2)) < 0.05
 
 
-def test_regressor_rejects_zero_total_weight():
-    x = np.arange(6.0)[:, None]
-    with pytest.raises(TrainingError):
-        gbm.train_regressor(x, np.arange(6.0), gbm.TrainConfig(rounds=1, reg_lambda=0.0),
-                            sample_weight=np.zeros(6))
+def test_empty_training_set_rejected():
+    for train in (gbm.train_classifier, gbm.train_regressor):
+        with pytest.raises(TrainingError, match="no training rows"):
+            train(np.zeros((0, 2)), np.zeros(0), gbm.TrainConfig(rounds=1))
 
 
 def test_cross_validation_separable_data():

@@ -124,11 +124,21 @@ def paths_repeat_a_feature(node, seen=()):
     )
 
 
+def random_covers(node, rng) -> float:
+    """Give the tree under `node` random positive, mostly fractional covers,
+    each parent's the sum of its children's; returns the root's."""
+    if node.is_leaf:
+        node.cover = float(rng.uniform(0.05, 4.0))
+    else:
+        node.cover = random_covers(node.left, rng) + random_covers(node.right, rng)
+    return node.cover
+
+
 def oracle_cases():
     """(model, rows) pairs: random classifiers and regressors at depths 1-6
-    on continuous and tied integer columns, with min_child_cover 0 and
-    fractional and zero sample weights, plus a single-leaf tree; the rows
-    add one at each tree's root threshold, NaN and +-inf."""
+    on continuous and tied integer columns, with min_child_cover 0, the
+    regressors' trees with random fractional covers, plus a single-leaf tree;
+    the rows add one at each tree's root threshold, NaN and +-inf."""
     rng = np.random.default_rng(2024)
     for case in range(36):
         depth = 1 + case % 6
@@ -144,10 +154,9 @@ def oracle_cases():
             y[:2] = (0.0, 1.0)
             model = gbm.train_classifier(x, y, config)
         else:
-            weights = rng.random(n) * (rng.random(n) > 0.25)
-            weights[0] = 1.0
-            model = gbm.train_regressor(x, x[:, 0] ** 2 + rng.standard_normal(n), config,
-                                        sample_weight=weights)
+            model = gbm.train_regressor(x, x[:, 0] ** 2 + rng.standard_normal(n), config)
+            for tree in model.trees:
+                random_covers(tree, rng)
         model.trees.append(gbm.TreeNode(cover=1.0, weight=float(rng.standard_normal())))
         rows = np.vstack([x, rng.standard_normal((4, d))])
         for tree in model.trees:
