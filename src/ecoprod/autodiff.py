@@ -7,10 +7,10 @@ a diagonal-Gaussian KL term, and Bernoulli/Gaussian log-likelihoods.
 
 Ops executed inside a ``with Tape() as tape:`` block are recorded; calling
 ``tape.backward(loss)`` walks the record in exact reverse execution order
-and accumulates analytic gradients into every participating tensor.  Ops
-executed with no active tape are plain forward evaluations (used for
-inference).  There is no broadcasting beyond the bias add: shape mismatches
-fail at construction time.
+and sets the analytic gradient as ``grad`` on each tensor it reaches; a
+tensor's ``grad`` is None otherwise.  Ops executed with no active tape are
+plain forward evaluations (used for inference).  There is no broadcasting
+beyond the bias add: shape mismatches fail at construction time.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tensor:
-    """A dense float64 array with a same-shape gradient buffer."""
+    """A dense float64 array; ``grad`` is set by `Tape.backward`, else None."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -41,18 +41,11 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-@dataclass
-class _OpRecord:
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    backward: "object"  # callable(out_grad) -> tuple of input grads
-
-
 class Tape:
     """Ordered record of executed ops; context manager activates recording."""
 
     def __init__(self):
-        self._ops: list[_OpRecord] = []
+        self._ops: list[tuple] = []  # (inputs, output, backward(output grad) -> input grads)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -62,35 +55,34 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def __len__(self) -> int:
-        return len(self._ops)
-
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) for every tensor the tape touched.
+        """Set ``grad`` to d(loss)/d(tensor) on every tensor the tape recorded.
 
-        Gradients of all participating tensors are zeroed first, so each
-        backward pass starts clean; the walk visits each op exactly once in
-        reverse execution order and never mutates forward values.
+        Every recorded ``grad`` is reset to None first, so each pass starts
+        clean.  The walk visits each op once in reverse execution order and
+        skips an op whose output the loss does not reach, so a tensor the
+        loss does not depend on keeps ``grad`` None.  Forward values are
+        never mutated.  Tensors may share one array as ``grad`` (an add
+        passes its output's gradient to both inputs), so never edit a
+        ``grad`` in place.
         """
         if loss.data.shape != ():
             raise EcoprodError("backward requires a scalar loss tensor")
-        seen: set[int] = set()
-        for op in self._ops:
-            for t in (*op.inputs, op.output):
-                if id(t) not in seen:
-                    t.grad = np.zeros_like(t.data)
-                    seen.add(id(t))
+        for inputs, output, _ in self._ops:
+            for t in (*inputs, output):
+                t.grad = None
         loss.grad = np.ones_like(loss.data)
-        for op in reversed(self._ops):
-            grads = op.backward(op.output.grad)
-            for tensor, grad in zip(op.inputs, grads):
+        for inputs, output, backward in reversed(self._ops):
+            if output.grad is None:
+                continue
+            for tensor, grad in zip(inputs, backward(output.grad)):
                 if grad is not None:
-                    tensor.grad = tensor.grad + grad
+                    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 def _record(inputs: tuple[Tensor, ...], output: Tensor, backward) -> Tensor:
     if _TAPE_STACK:
-        _TAPE_STACK[-1]._ops.append(_OpRecord(inputs, output, backward))
+        _TAPE_STACK[-1]._ops.append((inputs, output, backward))
     return output
 
 
@@ -302,21 +294,29 @@ class Mlp:
         return params
 
 
+# The moment decay rates and the stabilizer of Kingma & Ba (ICLR 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second-moment buffers, shaped like the parameters they track."""
+    """Learning rate and first/second-moment buffers shaped like the parameters."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moments: list[np.ndarray] = field(default_factory=list)
     second_moments: list[np.ndarray] = field(default_factory=list)
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
-    """One bias-corrected Adam update; gradients are zeroed afterwards."""
+    """One bias-corrected Adam update from each parameter's ``grad``, which is
+    read, not reset; a ``grad`` of None raises EcoprodError before anything
+    changes."""
+    for index, p in enumerate(params):
+        if p.grad is None:
+            raise EcoprodError(f"adam_step: parameter {index} has no gradient")
     if not state.first_moments:
         state.first_moments = [np.zeros_like(p.data) for p in params]
         state.second_moments = [np.zeros_like(p.data) for p in params]
@@ -324,15 +324,14 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         raise EcoprodError("AdamState was initialized for a different parameter list")
     state.step_count += 1
     t = state.step_count
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     for p, m, v in zip(params, state.first_moments, state.second_moments):
         g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / correction1
         v_hat = v / correction2
-        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        p.grad = np.zeros_like(p.data)
+        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -274,19 +274,14 @@ def _cross_fitted_nuisances(data: CausalDataset, config: TrainConfig) -> tuple[n
     m_hat = np.empty(data.n)
     e_hat = np.empty(data.n)
     folds = stratified_folds(data.treatment, config.folds, derive_seed(config.seed, "r-folds"))
-    for fold_index, holdout in enumerate(folds):
+    for holdout in folds:
         train_mask = np.ones(data.n, dtype=bool)
         train_mask[holdout] = False
-        fold_seed = derive_seed(config.seed, f"r-fold:{fold_index}")
         outcome_model = _fit_prob_model(
-            data.covariates[train_mask],
-            data.outcome[train_mask].astype(np.float64),
-            replace(config, seed=fold_seed),
+            data.covariates[train_mask], data.outcome[train_mask].astype(np.float64), config
         )
         treat_model = _fit_prob_model(
-            data.covariates[train_mask],
-            data.treatment[train_mask].astype(np.float64),
-            replace(DEFAULT_PROPENSITY_CONFIG, seed=fold_seed),
+            data.covariates[train_mask], data.treatment[train_mask].astype(np.float64), DEFAULT_PROPENSITY_CONFIG
         )
         m_hat[holdout] = outcome_model(data.covariates[holdout])
         e_hat[holdout] = np.clip(treat_model(data.covariates[holdout]), *PROPENSITY_CLIP)

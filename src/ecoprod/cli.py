@@ -92,6 +92,15 @@ def _province_groups(provinces_path: Path, scores_path: Path) -> dict[int, dea_m
     return {p.id: score["group"] for p, score in zip(provinces, scores)}
 
 
+def _check_provinces(complaints: list[ds.ComplaintRecord], province_ids, complaints_path: Path) -> None:
+    """An IngestionError naming complaints.jsonl for a complaint whose
+    province_id is not in `province_ids`."""
+    stray = next((c for c in complaints if c.province_id not in province_ids), None)
+    if stray is not None:
+        raise IngestionError(f"{complaints_path}: complaint {stray.id} has province_id {stray.province_id}, "
+                             "which no province has")
+
+
 def _load_inputs(
     provinces_path: Path, complaints_path: Path, scores_path: Path, clusters_path: Path
 ) -> tuple[list[ds.ProvinceRecord], list[ds.ComplaintRecord], ds.ColumnSchema]:
@@ -102,6 +111,7 @@ def _load_inputs(
     provinces, schema = ds.load_provinces(provinces_path)
     scores = _rows_for([p.id for p in provinces], scores_path, SCORE_COLUMNS)
     complaints = ds.load_complaints(complaints_path)
+    _check_provinces(complaints, {p.id for p in provinces}, complaints_path)
     clusters = _rows_for([c.id for c in complaints], clusters_path, CLUSTER_COLUMNS)
     return (
         [replace(p, eco_score=s["theta_vrs"], eco_group=s["group"]) for p, s in zip(provinces, scores)],
@@ -156,7 +166,6 @@ class ClusterOptions:
     k: int | None = None  # None picks k by the elbow of the wcss curve over 1..k_max
     k_max: int = 12
     permutations: int = 99
-    smoothed_p: bool = False
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -176,10 +185,7 @@ def stage_cluster(
 ) -> dict:
     complaints = ds.load_complaints(complaints_path)
     if province_groups is not None:
-        stray = next((c for c in complaints if c.province_id not in province_groups), None)
-        if stray is not None:
-            raise ConfigError(f"{complaints_path}: complaint {stray.id} has province_id {stray.province_id}, "
-                              "which no province has")
+        _check_provinces(complaints, province_groups, complaints_path)
     # k-means cannot fill more clusters than there are complaints; say so
     # before the elbow curve spends a best-of-restarts run on every k.
     key, count = ("cluster.k", options.k) if options.k is not None else ("cluster.k_max", options.k_max)
@@ -233,8 +239,6 @@ def stage_cluster(
         "coproduction_rates": rates,
         "centroid_shift_distances": shifts_report,
     }
-    if options.smoothed_p:
-        report["permutation"]["smoothed_p"] = perm.smoothed_p
     _write_json(out_dir / "cluster_report.json", report)
 
     projection = svg.pca_2d(embeddings)
@@ -670,7 +674,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_cmd.add_argument("--kmax", dest="k_max", type=int)
     cluster_cmd.add_argument("--permutations", type=int)
     cluster_cmd.add_argument("--seed", type=int, default=0)
-    cluster_cmd.add_argument("--smoothed-p", action="store_true", default=None)
     cluster_cmd.add_argument("--provinces", help="optional, for centroid shifts")
     cluster_cmd.add_argument("--dea-scores", help="optional, for centroid shifts")
 
@@ -755,7 +758,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "cluster":
-        options = _options(ClusterOptions, _given(args, "k", "k_max", "permutations", "smoothed_p"), "cluster")
+        options = _options(ClusterOptions, _given(args, "k", "k_max", "permutations"), "cluster")
         groups = None
         if args.dea_scores:
             if not args.provinces:

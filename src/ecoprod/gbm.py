@@ -51,7 +51,7 @@ reuses as its background distribution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -422,11 +422,10 @@ def cross_validate(x_matrix: np.ndarray, y: np.ndarray, config: TrainConfig) -> 
         raise TrainingError("more folds than rows")
     folds = stratified_folds(y, config.folds, derive_seed(config.seed, "cv-folds"))
     accuracies = []
-    for fold_index, holdout in enumerate(folds):
+    for holdout in folds:
         train_mask = np.ones(x_matrix.shape[0], dtype=bool)
         train_mask[holdout] = False
-        fold_config = replace(config, seed=derive_seed(config.seed, f"cv-fold:{fold_index}"))
-        model = train_classifier(x_matrix[train_mask], y[train_mask], fold_config)
+        model = train_classifier(x_matrix[train_mask], y[train_mask], config)
         predictions = predict_proba(model, x_matrix[holdout]) >= 0.5
         accuracies.append(float(np.mean(predictions == (y[holdout] == 1.0))))
     return CvReport(

@@ -64,12 +64,6 @@ class PermutationTestResult:
     s_perm: np.ndarray
     p: float
 
-    @property
-    def smoothed_p(self) -> float:
-        """(1 + exceedance count) / (1 + N), the add-one variant."""
-        count = int(np.sum(self.s_perm >= self.s_obs))
-        return (1 + count) / (1 + self.s_perm.shape[0])
-
 
 @dataclass(frozen=True)
 class CentroidShift:
@@ -356,8 +350,7 @@ def permutation_test(
 
     The score is the mean silhouette of the spectral clustering measured in
     its own spectral embedding; p is the exact exceedance fraction
-    count(s_i >= s_obs) / N with no continuity correction (see
-    `PermutationTestResult.smoothed_p` for the add-one variant).  A caller
+    count(s_i >= s_obs) / N with no continuity correction.  A caller
     that already holds a clustering of `embeddings` passes it as `observed`,
     its k-column spectral embedding and its labels; s_obs is then that
     clustering's score, and no observed eigensolve or k-means runs.  Without

@@ -218,8 +218,55 @@ def test_shape_mismatch_raises():
         )
 
 
+def test_second_backward_on_one_tape_matches_a_fresh_tape():
+    x = ad.Tensor(np.array([[1.0, 2.0]]))
+    with ad.Tape() as tape:
+        tape.backward(ad.total(ad.mul(x, x)))
+        assert x.grad.tolist() == [[2.0, 4.0]]
+        tape.backward(ad.total(ad.scale(x, 3.0)))
+    fresh = ad.Tensor(x.data)
+    with ad.Tape() as fresh_tape:
+        fresh_tape.backward(ad.total(ad.scale(fresh, 3.0)))
+    assert x.grad.tolist() == fresh.grad.tolist() == [[3.0, 3.0]]
+
+
+def test_leaf_outside_the_loss_keeps_no_gradient():
+    used = ad.Tensor(np.array([[1.0, 2.0]]))
+    unused = ad.Tensor(np.array([[3.0, 4.0]]))
+    with ad.Tape() as tape:
+        ad.total(ad.mul(unused, unused))
+        tape.backward(ad.total(used))
+    assert used.grad.tolist() == [[1.0, 1.0]]
+    assert unused.grad is None
+
+
+def test_adam_without_gradient_raises_and_changes_nothing():
+    used = ad.Tensor(np.array([1.0, -2.0]))
+    unused = ad.Tensor(np.array([0.5]))
+    used.grad = np.array([0.3, 0.4])
+    fresh = ad.AdamState(learning_rate=0.1)
+    with pytest.raises(EcoprodError, match="parameter 1 has no gradient"):
+        ad.adam_step([used, unused], fresh)
+    assert fresh == ad.AdamState(learning_rate=0.1)
+
+    state = ad.AdamState(learning_rate=0.1)
+    unused.grad = np.array([0.2])
+    ad.adam_step([used, unused], state)
+    before = [a.copy() for a in (used.data, unused.data, *state.first_moments, *state.second_moments)]
+    with ad.Tape() as tape:
+        ad.total(unused)
+        tape.backward(ad.total(ad.mul(used, used)))
+    assert unused.grad is None
+    with pytest.raises(EcoprodError, match="parameter 1 has no gradient"):
+        ad.adam_step([used, unused], state)
+    after = [used.data, unused.data, *state.first_moments, *state.second_moments]
+    assert state.step_count == 1
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
 def test_adam_zero_gradient_keeps_parameters():
     param = ad.Tensor(np.array([1.0, -2.0]))
+    param.grad = np.zeros(2)
     state = ad.AdamState(learning_rate=0.1)
     ad.adam_step([param], state)
     assert param.data.tolist() == [1.0, -2.0]
@@ -231,7 +278,6 @@ def test_adam_first_step_magnitude_is_learning_rate():
     state = ad.AdamState(learning_rate=0.05)
     ad.adam_step([param], state)
     assert abs(param.data[0]) == pytest.approx(0.05, rel=1e-6)
-    assert param.grad.tolist() == [0.0]
 
 
 def test_adam_minimizes_quadratic():

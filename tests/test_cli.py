@@ -364,6 +364,21 @@ def test_explain_attributes_every_row_once(fixture_dir, tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
 
 
+def test_explain_archetypes_from_shap(fixture_dir, tmp_path):
+    run = fixture_dir / "run_a"
+    rc = cli.main([
+        "explain", "--model", str(run / "model.json"), "--provinces", str(fixture_dir / "provinces.csv"),
+        "--complaints", str(fixture_dir / "complaints.jsonl"), "--dea-scores", str(run / "dea_scores.csv"),
+        "--clusters", str(run / "clusters.csv"), "--out", str(tmp_path), "--archetype-input", "shap",
+    ])
+    assert rc == 0
+    report = json.loads((tmp_path / "archetype_report.json").read_text())
+    assert report["input"] == "shap"
+    assert set(report["province_archetype"].values()) == {0, 1}
+    means = report["mean_probability_by_archetype"]
+    assert means[str(report["coproductive_cluster"])] == max(means.values())
+
+
 def test_unknown_causal_method_flag_exits_2(fixture_dir, tmp_path, capsys):
     out = tmp_path / "bogus"
     rc = cli.main(causal_args(fixture_dir, out, "--method", "diffmeans,cevae,bogus"))
@@ -583,8 +598,9 @@ def test_complaint_of_unknown_province_is_named(fixture_dir, tmp_path, capsys):
     shutil.copy(fixture_dir / "provinces.csv", tmp_path)
     # the cluster stage looks up each complaint's efficiency group
     (tmp_path / "config.json").write_text(json.dumps(small_config("out")))
+    named = f"{tmp_path / 'complaints.jsonl'}: complaint {stray['id']} has province_id 999, which no province has"
     assert cli.main(["pipeline", "--config", str(tmp_path / "config.json")]) == 1
-    assert f"complaint {stray['id']} has province_id 999" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert (tmp_path / "out" / "FAILED").read_text().startswith("cluster:")
     # train, explain and causal join each complaint to its province
     run = fixture_dir / "run_a"
@@ -593,6 +609,12 @@ def test_complaint_of_unknown_province_is_named(fixture_dir, tmp_path, capsys):
         "--dea-scores", str(run / "dea_scores.csv"), "--clusters", str(run / "clusters.csv"),
         "--out", str(tmp_path / "train"),
     ])
-    assert rc == 1
-    assert f"complaint {stray['id']} references unknown province 999" in capsys.readouterr().err
+    assert rc == 2
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "train" / "model.json").exists()
+    rc = cli.main([
+        "cluster", "--complaints", str(tmp_path / "complaints.jsonl"), "--provinces", str(tmp_path / "provinces.csv"),
+        "--dea-scores", str(run / "dea_scores.csv"), "--out", str(tmp_path / "cluster"),
+    ])
+    assert rc == 2
+    assert named in capsys.readouterr().err

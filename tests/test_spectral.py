@@ -299,13 +299,6 @@ def test_exceedance_invariant_to_order(order):
     assert spectral.exceedance_fraction(0.5, scores[np.array(order)]) == base
 
 
-def test_smoothed_p_adds_one():
-    result = spectral.PermutationTestResult(
-        s_obs=0.9, s_perm=np.array([0.1, 0.2, 0.95, 0.3]), p=0.25
-    )
-    assert result.smoothed_p == pytest.approx(2.0 / 5.0)
-
-
 def test_permutation_test_separated_clusters_significant():
     rng = np.random.default_rng(15)
     centers = np.array([[0.0] * 8, [9.0] * 8, [0.0] * 4 + [9.0] * 4])
