@@ -312,7 +312,8 @@ class AdamState:
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
     """One bias-corrected Adam update from each parameter's ``grad``, which is
-    read, not reset; a ``grad`` of None raises EcoprodError before anything
+    then cleared, so every step needs a fresh backward that reaches each
+    parameter; a ``grad`` of None raises EcoprodError before anything
     changes."""
     for index, p in enumerate(params):
         if p.grad is None:
@@ -335,3 +336,4 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         m_hat = m / correction1
         v_hat = v / correction2
         p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        p.grad = None

@@ -264,6 +264,28 @@ def test_adam_without_gradient_raises_and_changes_nothing():
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
+def test_adam_never_reapplies_a_gradient():
+    used = ad.Tensor(np.array([1.0, -2.0]))
+    unrecorded = ad.Tensor(np.array([0.5]))
+    state = ad.AdamState(learning_rate=0.1)
+    with ad.Tape() as tape:
+        tape.backward(ad.add(ad.total(ad.mul(used, used)), ad.total(unrecorded)))
+    ad.adam_step([used, unrecorded], state)
+    assert used.grad is None and unrecorded.grad is None
+    with pytest.raises(EcoprodError, match="parameter 0 has no gradient"):
+        ad.adam_step([used, unrecorded], state)
+
+    # a later tape that never records `unrecorded` leaves it without a gradient
+    before = [a.copy() for a in (used.data, unrecorded.data, *state.first_moments, *state.second_moments)]
+    with ad.Tape() as tape:
+        tape.backward(ad.total(ad.mul(used, used)))
+    with pytest.raises(EcoprodError, match="parameter 1 has no gradient"):
+        ad.adam_step([used, unrecorded], state)
+    after = [used.data, unrecorded.data, *state.first_moments, *state.second_moments]
+    assert state.step_count == 1
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
 def test_adam_zero_gradient_keeps_parameters():
     param = ad.Tensor(np.array([1.0, -2.0]))
     param.grad = np.zeros(2)

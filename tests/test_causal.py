@@ -1,11 +1,16 @@
+import json
+import logging
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ecoprod import causal
+from ecoprod import causal, cli
 from ecoprod.errors import BootstrapError, CausalError
 from ecoprod.gbm import TrainConfig
+from ecoprod.seeding import derive_seed
 
 from oracles import auc_score, reference_grouped_estimate
 
@@ -99,6 +104,116 @@ def test_bootstrap_deterministic_per_seed():
     a = causal.bootstrap_ci(causal.diff_means_point, data, n_boot=80, seed=9)
     b = causal.bootstrap_ci(causal.diff_means_point, data, n_boot=80, seed=9)
     assert a == b
+
+
+# --- bootstrap workers ------------------------------------------------------
+
+
+def use_cpus(monkeypatch, count):
+    """Fix the CPU count, and so the worker count, that `_bootstrap` sees."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_refit_replicates_run_on_forked_workers_and_never_nest_a_pool(monkeypatch):
+    parent = os.getpid()
+    use_cpus(monkeypatch, 1)
+    assert set(causal._bootstrap(50, 6, lambda rng: os.getpid(), fork=True)) == {parent}
+    use_cpus(monkeypatch, 2)
+    assert parent not in set(causal._bootstrap(50, 6, lambda rng: os.getpid(), fork=True))
+    # resample-only replicates stay in the calling process
+    assert set(causal._bootstrap(50, 6, lambda rng: os.getpid())) == {parent}
+
+    def nested(rng):
+        inner = causal._bootstrap(50, 7, lambda r: os.getpid(), fork=True)
+        return float(np.all(inner == os.getpid()))
+
+    assert causal._bootstrap(50, 6, nested, fork=True).tolist() == [1.0] * 50
+
+
+def test_bootstrap_ci_replicates_identical_for_one_and_two_workers(monkeypatch):
+    data = randomized_data(n=300, p1=0.6, p0=0.4, seed=8)
+    config = TrainConfig(rounds=5, max_depth=2)
+    seen = []
+    interval = causal.percentile_interval
+
+    def spy(values, level):
+        seen.append(values)
+        return interval(values, level)
+
+    monkeypatch.setattr(causal, "percentile_interval", spy)
+    intervals = []
+    for count in (1, 2):
+        use_cpus(monkeypatch, count)
+        intervals.append(causal.bootstrap_ci(lambda d: causal.t_learner_point(d, config), data, n_boot=50, seed=9))
+    assert intervals[0] == intervals[1]
+    assert seen[0].shape == (50,) and seen[0].tobytes() == seen[1].tobytes()
+
+
+def test_message_unit_report_identical_for_one_and_two_workers(monkeypatch, tmp_path):
+    assert cli.main(["synth", "--out", str(tmp_path), "--provinces", "14", "--complaints", "160",
+                     "--clusters", "3", "--embedding-dim", "4", "--seed", "11"]) == 0
+    assert cli.main(["dea", "--provinces", str(tmp_path / "provinces.csv"), "--out", str(tmp_path)]) == 0
+    labels = json.loads((tmp_path / "ground_truth.json").read_text())["cluster_labels"]
+    (tmp_path / "clusters.csv").write_text(
+        "complaint_id,cluster\n" + "".join(f"{i + 1},{c}\n" for i, c in enumerate(labels))
+    )
+    options = cli.CausalOptions(bootstrap=50, epochs=2, base_learner=TrainConfig(rounds=3, max_depth=2, folds=2))
+    assert options.unit == "message" and len(options.methods) == 6
+    reports = []
+    for count in (1, 2):
+        use_cpus(monkeypatch, count)
+        out = tmp_path / f"cpus{count}"
+        cli.stage_causal(tmp_path / "provinces.csv", tmp_path / "complaints.jsonl", tmp_path / "dea_scores.csv",
+                         tmp_path / "clusters.csv", options, 11, out)
+        reports.append((out / "ate_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert all(report[m]["ci_low"] is not None for m in options.methods)
+
+
+def test_no_worker_outlives_a_bootstrap(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    data = randomized_data(n=60, seed=5)
+    causal.bootstrap_ci(lambda d: 0.0, data, n_boot=50, seed=6)
+    assert multiprocessing.active_children() == []
+
+    def one_arm(d):
+        raise CausalError("both treatment arms must be non-empty")
+
+    with pytest.raises(BootstrapError, match="50/50"):
+        causal.bootstrap_ci(one_arm, data, n_boot=50, seed=6)
+    assert multiprocessing.active_children() == []
+
+    def buggy(d):
+        raise TypeError("not a data-driven failure")
+
+    with pytest.raises(TypeError, match="not a data-driven failure"):
+        causal.bootstrap_ci(buggy, data, n_boot=50, seed=6)
+    assert multiprocessing.active_children() == []
+
+
+def test_failures_are_logged_by_the_parent_in_replicate_order(monkeypatch, caplog):
+    use_cpus(monkeypatch, 2)
+    n = 60
+    rows = np.arange(n)
+    data = causal.CausalDataset(covariates=rows[:, None].astype(float), treatment=rows % 2, outcome=rows // 2 % 2)
+
+    def first_row(d):  # a resample that starts with one of rows 0-2 fails
+        if d.covariates[0, 0] < 3:
+            raise CausalError(f"starts with row {int(d.covariates[0, 0])}")
+        return 0.0
+
+    expected = []
+    for b in range(50):
+        first = np.random.default_rng(derive_seed(9, f"bootstrap:{b}")).integers(0, n, n)[0]
+        if first < 3:
+            expected.append(f"bootstrap replicate {b} failed: starts with row {first}")
+    assert 1 < len(expected) <= 5
+    with caplog.at_level(logging.DEBUG, logger="ecoprod.causal"):
+        causal.bootstrap_ci(first_row, data, n_boot=50, seed=9)
+    records = [r for r in caplog.records if r.getMessage().startswith("bootstrap replicate")]
+    assert [r.getMessage() for r in records] == expected
+    assert {r.process for r in records} == {os.getpid()}
 
 
 # --- propensity -------------------------------------------------------------

@@ -82,17 +82,21 @@ def test_dea_subcommand_writes_scores(fixture_dir, tmp_path):
         assert row["group"] == truth["province_groups"][row["id"]]
 
 
-def test_pipeline_produces_all_artifacts_and_is_deterministic(fixture_dir):
-    config = small_config("run_a")
-    (fixture_dir / "config_a.json").write_text(json.dumps(config))
+@pytest.fixture(scope="module")
+def run_a(fixture_dir):
+    """The pipeline's artifacts on the shared fixture, from one run per module."""
+    (fixture_dir / "config_a.json").write_text(json.dumps(small_config("run_a")))
     assert cli.main(["pipeline", "--config", str(fixture_dir / "config_a.json")]) == 0
-    out = fixture_dir / "run_a"
+    return fixture_dir / "run_a"
+
+
+def test_pipeline_produces_all_artifacts_and_is_deterministic(fixture_dir, run_a):
     expected = {
         "dea_scores.csv", "clusters.csv", "cluster_report.json", "clusters.svg",
         "coproduction_rates.svg", "model.json", "cv_report.json", "shap.csv",
         "shap_summary.svg", "archetype_report.json", "ate_report.json", "summary.json",
     }
-    present = {p.name for p in out.iterdir()}
+    present = {p.name for p in run_a.iterdir()}
     assert expected <= present
     assert "FAILED" not in present
 
@@ -100,10 +104,10 @@ def test_pipeline_produces_all_artifacts_and_is_deterministic(fixture_dir):
     (fixture_dir / "config_b.json").write_text(json.dumps(config_b))
     assert cli.main(["pipeline", "--config", str(fixture_dir / "config_b.json")]) == 0
     for name in sorted(expected):
-        assert (fixture_dir / "run_a" / name).read_bytes() == (fixture_dir / "run_b" / name).read_bytes(), name
+        assert (run_a / name).read_bytes() == (fixture_dir / "run_b" / name).read_bytes(), name
 
 
-def test_pipeline_matches_standalone_stage_with_derived_seed(fixture_dir, tmp_path):
+def test_pipeline_matches_standalone_stage_with_derived_seed(fixture_dir, run_a, tmp_path):
     # The cluster stage, run standalone with the pipeline's derived sub-seed,
     # must reproduce the pipeline artifact byte for byte.
     master = 11
@@ -113,23 +117,23 @@ def test_pipeline_matches_standalone_stage_with_derived_seed(fixture_dir, tmp_pa
         "--out", str(out), "--kmax", "6", "--permutations", "9",
         "--seed", str(derive_seed(master, "cluster")),
         "--provinces", str(fixture_dir / "provinces.csv"),
-        "--dea-scores", str(fixture_dir / "run_a" / "dea_scores.csv"),
+        "--dea-scores", str(run_a / "dea_scores.csv"),
     ])
     assert rc == 0
-    assert (out / "clusters.csv").read_bytes() == (fixture_dir / "run_a" / "clusters.csv").read_bytes()
-    assert (out / "cluster_report.json").read_bytes() == (fixture_dir / "run_a" / "cluster_report.json").read_bytes()
+    assert (out / "clusters.csv").read_bytes() == (run_a / "clusters.csv").read_bytes()
+    assert (out / "cluster_report.json").read_bytes() == (run_a / "cluster_report.json").read_bytes()
 
 
-def test_pipeline_summary_links_artifacts(fixture_dir):
-    summary = json.loads((fixture_dir / "run_a" / "summary.json").read_text())
+def test_pipeline_summary_links_artifacts(run_a):
+    summary = json.loads((run_a / "summary.json").read_text())
     assert summary["seed"] == 11
     assert set(summary["stages"]) == {"dea", "cluster", "train", "explain", "causal"}
     assert "dea_scores.csv" in summary["artifacts"]
     assert "ate_report.json" in summary["artifacts"]
 
 
-def test_cluster_report_contents(fixture_dir):
-    report = json.loads((fixture_dir / "run_a" / "cluster_report.json").read_text())
+def test_cluster_report_contents(run_a):
+    report = json.loads((run_a / "cluster_report.json").read_text())
     assert report["auto_k"] is True
     assert report["permutation"]["n"] == 9
     assert 0.0 <= report["permutation"]["p"] <= 1.0
@@ -138,14 +142,14 @@ def test_cluster_report_contents(fixture_dir):
     assert len(report["wcss_curve"]) == 6
 
 
-def test_svg_artifacts_are_well_formed(fixture_dir):
+def test_svg_artifacts_are_well_formed(run_a):
     for name in ("clusters.svg", "shap_summary.svg", "coproduction_rates.svg"):
-        root = ET.fromstring((fixture_dir / "run_a" / name).read_text())
+        root = ET.fromstring((run_a / name).read_text())
         assert root.tag.endswith("svg")
 
 
-def test_shap_csv_satisfies_local_accuracy(fixture_dir):
-    with (fixture_dir / "run_a" / "shap.csv").open() as handle:
+def test_shap_csv_satisfies_local_accuracy(run_a):
+    with (run_a / "shap.csv").open() as handle:
         rows = list(csv.DictReader(handle))
     for row in rows[:50]:
         base = float(row["base"])
@@ -187,13 +191,13 @@ def test_set_overrides_config(tmp_path, fixture_dir, capsys):
     assert "diffmeans" in ate_report and "s" not in ate_report
 
 
-def test_causal_province_unit_mode(fixture_dir, tmp_path):
+def test_causal_province_unit_mode(fixture_dir, run_a, tmp_path):
     out = tmp_path / "prov"
     rc = cli.main([
         "causal", "--provinces", str(fixture_dir / "provinces.csv"),
         "--complaints", str(fixture_dir / "complaints.jsonl"),
-        "--dea-scores", str(fixture_dir / "run_a" / "dea_scores.csv"),
-        "--clusters", str(fixture_dir / "run_a" / "clusters.csv"),
+        "--dea-scores", str(run_a / "dea_scores.csv"),
+        "--clusters", str(run_a / "clusters.csv"),
         "--out", str(out), "--method", "diffmeans,t", "--bootstrap", "60",
         "--unit", "province", "--seed", "5",
     ])
@@ -206,28 +210,28 @@ def test_causal_province_unit_mode(fixture_dir, tmp_path):
         assert estimate["ci_low"] <= estimate["ci_high"]
 
 
-def causal_args(fixture_dir, out, *extra):
+def causal_args(fixture_dir, run_a, out, *extra):
     return [
         "causal", "--provinces", str(fixture_dir / "provinces.csv"),
         "--complaints", str(fixture_dir / "complaints.jsonl"),
-        "--dea-scores", str(fixture_dir / "run_a" / "dea_scores.csv"),
-        "--clusters", str(fixture_dir / "run_a" / "clusters.csv"),
+        "--dea-scores", str(run_a / "dea_scores.csv"),
+        "--clusters", str(run_a / "clusters.csv"),
         "--out", str(out), *extra,
     ]
 
 
 @pytest.mark.parametrize("unit", ["message", "province"])
-def test_causal_bootstrap_below_fifty_exits_2(fixture_dir, tmp_path, capsys, unit):
-    rc = cli.main(causal_args(fixture_dir, tmp_path / unit, "--method", "diffmeans",
+def test_causal_bootstrap_below_fifty_exits_2(fixture_dir, run_a, tmp_path, capsys, unit):
+    rc = cli.main(causal_args(fixture_dir, run_a, tmp_path / unit, "--method", "diffmeans",
                               "--bootstrap", "10", "--unit", unit))
     assert rc == 2
     assert "bootstrap" in capsys.readouterr().err
     assert not (tmp_path / unit / "ate_report.json").exists()
 
 
-def test_causal_bootstrap_zero_gives_cevae_no_interval(fixture_dir, tmp_path):
+def test_causal_bootstrap_zero_gives_cevae_no_interval(fixture_dir, run_a, tmp_path):
     out = tmp_path / "cevae"
-    rc = cli.main(causal_args(fixture_dir, out, "--method", "cevae", "--bootstrap", "0",
+    rc = cli.main(causal_args(fixture_dir, run_a, out, "--method", "cevae", "--bootstrap", "0",
                               "--epochs", "2", "--seed", "3"))
     assert rc == 0
     estimate = json.loads((out / "ate_report.json").read_text())["cevae"]
@@ -332,16 +336,16 @@ def test_cluster_stage_solves_the_observed_embedding_once(fixture_dir, tmp_path,
     assert calls == [3] * (1 + 4)
 
 
-def test_unknown_covariate_flag_exits_2(fixture_dir, tmp_path, capsys):
+def test_unknown_covariate_flag_exits_2(fixture_dir, run_a, tmp_path, capsys):
     out = tmp_path / "bogus"
-    rc = cli.main(causal_args(fixture_dir, out, "--covariates", "sentiment,bogus"))
+    rc = cli.main(causal_args(fixture_dir, run_a, out, "--covariates", "sentiment,bogus"))
     assert rc == 2
     err = capsys.readouterr().err
     assert "causal.covariates" in err and "'bogus'" in err
     assert not out.exists()
 
 
-def test_explain_attributes_every_row_once(fixture_dir, tmp_path, monkeypatch):
+def test_explain_attributes_every_row_once(fixture_dir, run_a, tmp_path, monkeypatch):
     # perfbench/tracing.py times and counts TreeSHAP by wrapping the module
     # attribute treeshap.tree_shap, so explain must reach it through that
     # name, once, with every row; the archetype beeswarms reuse its phi.
@@ -353,23 +357,21 @@ def test_explain_attributes_every_row_once(fixture_dir, tmp_path, monkeypatch):
         return original(model, x_matrix)
 
     monkeypatch.setattr(treeshap, "tree_shap", counting)
-    run = fixture_dir / "run_a"
     summary = cli.stage_explain(
-        run / "model.json", fixture_dir / "provinces.csv", fixture_dir / "complaints.jsonl",
-        run / "dea_scores.csv", run / "clusters.csv", tmp_path,
+        run_a / "model.json", fixture_dir / "provinces.csv", fixture_dir / "complaints.jsonl",
+        run_a / "dea_scores.csv", run_a / "clusters.csv", tmp_path,
     )
     assert calls == [160]
     assert any(name.startswith("shap_archetype_") for name in summary["artifacts"])
     for name in summary["artifacts"]:
-        assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+        assert (tmp_path / name).read_bytes() == (run_a / name).read_bytes(), name
 
 
-def test_explain_archetypes_from_shap(fixture_dir, tmp_path):
-    run = fixture_dir / "run_a"
+def test_explain_archetypes_from_shap(fixture_dir, run_a, tmp_path):
     rc = cli.main([
-        "explain", "--model", str(run / "model.json"), "--provinces", str(fixture_dir / "provinces.csv"),
-        "--complaints", str(fixture_dir / "complaints.jsonl"), "--dea-scores", str(run / "dea_scores.csv"),
-        "--clusters", str(run / "clusters.csv"), "--out", str(tmp_path), "--archetype-input", "shap",
+        "explain", "--model", str(run_a / "model.json"), "--provinces", str(fixture_dir / "provinces.csv"),
+        "--complaints", str(fixture_dir / "complaints.jsonl"), "--dea-scores", str(run_a / "dea_scores.csv"),
+        "--clusters", str(run_a / "clusters.csv"), "--out", str(tmp_path), "--archetype-input", "shap",
     ])
     assert rc == 0
     report = json.loads((tmp_path / "archetype_report.json").read_text())
@@ -379,9 +381,9 @@ def test_explain_archetypes_from_shap(fixture_dir, tmp_path):
     assert means[str(report["coproductive_cluster"])] == max(means.values())
 
 
-def test_unknown_causal_method_flag_exits_2(fixture_dir, tmp_path, capsys):
+def test_unknown_causal_method_flag_exits_2(fixture_dir, run_a, tmp_path, capsys):
     out = tmp_path / "bogus"
-    rc = cli.main(causal_args(fixture_dir, out, "--method", "diffmeans,cevae,bogus"))
+    rc = cli.main(causal_args(fixture_dir, run_a, out, "--method", "diffmeans,cevae,bogus"))
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
     assert not out.exists()
@@ -432,10 +434,9 @@ ARTIFACT_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", sorted(ARTIFACT_FAULTS))
-def test_bad_artifact_exits_2_naming_file_line_and_column(fixture_dir, tmp_path, capsys, fault):
+def test_bad_artifact_exits_2_naming_file_line_and_column(fixture_dir, run_a, tmp_path, capsys, fault):
     name, edit, line, column = ARTIFACT_FAULTS[fault]
-    for source in (fixture_dir / "provinces.csv", fixture_dir / "run_a" / "dea_scores.csv",
-                   fixture_dir / "run_a" / "clusters.csv"):
+    for source in (fixture_dir / "provinces.csv", run_a / "dea_scores.csv", run_a / "clusters.csv"):
         lines = source.read_text().splitlines()
         if source.name == name:
             lines = edit(lines)
@@ -469,18 +470,17 @@ def test_bad_artifact_exits_2_naming_file_line_and_column(fixture_dir, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["synth", "dea", "cluster", "train", "explain", "causal", "pipeline"])
-def test_output_path_naming_a_file_exits_2(fixture_dir, tmp_path, capsys, command):
+def test_output_path_naming_a_file_exits_2(fixture_dir, run_a, tmp_path, capsys, command):
     taken = tmp_path / "taken"
     taken.write_text("a file\n")
-    run = fixture_dir / "run_a"
     inputs = ["--provinces", fixture_dir / "provinces.csv", "--complaints", fixture_dir / "complaints.jsonl",
-              "--dea-scores", run / "dea_scores.csv", "--clusters", run / "clusters.csv"]
+              "--dea-scores", run_a / "dea_scores.csv", "--clusters", run_a / "clusters.csv"]
     argv = {
         "synth": ["synth", *SYNTH_ARGS],
         "dea": ["dea", "--provinces", fixture_dir / "provinces.csv"],
         "cluster": ["cluster", "--complaints", fixture_dir / "complaints.jsonl", "--k", "3"],
         "train": ["train", *inputs],
-        "explain": ["explain", *inputs, "--model", run / "model.json"],
+        "explain": ["explain", *inputs, "--model", run_a / "model.json"],
         "causal": ["causal", *inputs, "--method", "diffmeans", "--bootstrap", "0"],
     }.get(command, [])
     if command == "pipeline":
@@ -516,20 +516,19 @@ def model_fault(name, model):
 
 
 @pytest.mark.parametrize("fault", ["not-json", "missing-cover", "zero-cover-leaf", "feature-out-of-range"])
-def test_bad_model_json_exits_2_naming_file_and_node(fixture_dir, tmp_path, capsys, fault):
+def test_bad_model_json_exits_2_naming_file_and_node(fixture_dir, run_a, tmp_path, capsys, fault):
     path = tmp_path / "model.json"
     if fault == "not-json":
         path.write_text("{not json")
         named = "JSON"
     else:
-        model = json.loads((fixture_dir / "run_a" / "model.json").read_text())
+        model = json.loads((run_a / "model.json").read_text())
         named = model_fault(fault, model)
         path.write_text(json.dumps(model))
-    run = fixture_dir / "run_a"
     rc = cli.main([
         "explain", "--model", str(path), "--provinces", str(fixture_dir / "provinces.csv"),
         "--complaints", str(fixture_dir / "complaints.jsonl"),
-        "--dea-scores", str(run / "dea_scores.csv"), "--clusters", str(run / "clusters.csv"),
+        "--dea-scores", str(run_a / "dea_scores.csv"), "--clusters", str(run_a / "clusters.csv"),
         "--out", str(tmp_path / "out"),
     ])
     assert rc == 2
@@ -538,7 +537,7 @@ def test_bad_model_json_exits_2_naming_file_and_node(fixture_dir, tmp_path, caps
 
 
 @pytest.mark.parametrize("unit", ["message", "province"])
-def test_causal_reaches_estimators_through_module_attributes(fixture_dir, tmp_path, monkeypatch, unit):
+def test_causal_reaches_estimators_through_module_attributes(fixture_dir, run_a, tmp_path, monkeypatch, unit):
     # perfbench/tracing.py wraps these six module attributes to time each
     # method (the causal.method_s.* metrics), so stage_causal must call each
     # through its causal.<name> attribute, once, in both units.
@@ -554,11 +553,10 @@ def test_causal_reaches_estimators_through_module_attributes(fixture_dir, tmp_pa
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(causal, name, counting)
-    run = fixture_dir / "run_a"
     options = cli.CausalOptions(bootstrap=0, epochs=1, unit=unit,
                                 base_learner=gbm.TrainConfig(rounds=5, max_depth=2))
-    cli.stage_causal(fixture_dir / "provinces.csv", fixture_dir / "complaints.jsonl", run / "dea_scores.csv",
-                     run / "clusters.csv", options, 3, tmp_path)
+    cli.stage_causal(fixture_dir / "provinces.csv", fixture_dir / "complaints.jsonl", run_a / "dea_scores.csv",
+                     run_a / "clusters.csv", options, 3, tmp_path)
     assert sorted(calls) == sorted(["diff_means", "s_learner", "t_learner", "x_learner", "r_learner", "cevae_ate"])
     lines = (fixture_dir / "complaints.jsonl").read_text().splitlines()
     province_ids = [json.loads(line)["province_id"] for line in lines]
@@ -571,10 +569,9 @@ def test_causal_reaches_estimators_through_module_attributes(fixture_dir, tmp_pa
 
 
 @pytest.mark.parametrize("name", ["provinces.csv", "complaints.jsonl", "dea_scores.csv", "clusters.csv"])
-def test_non_utf8_input_names_file_and_line(fixture_dir, tmp_path, capsys, name):
-    run = fixture_dir / "run_a"
+def test_non_utf8_input_names_file_and_line(fixture_dir, run_a, tmp_path, capsys, name):
     for source in (fixture_dir / "provinces.csv", fixture_dir / "complaints.jsonl",
-                   run / "dea_scores.csv", run / "clusters.csv"):
+                   run_a / "dea_scores.csv", run_a / "clusters.csv"):
         data = source.read_bytes()
         if source.name == name:  # one byte of line 3 becomes 0xff
             at = data.index(b"\n", data.index(b"\n") + 1) + 2
@@ -590,7 +587,7 @@ def test_non_utf8_input_names_file_and_line(fixture_dir, tmp_path, capsys, name)
     assert not (tmp_path / "out" / "ate_report.json").exists()
 
 
-def test_complaint_of_unknown_province_is_named(fixture_dir, tmp_path, capsys):
+def test_complaint_of_unknown_province_is_named(fixture_dir, run_a, tmp_path, capsys):
     lines = (fixture_dir / "complaints.jsonl").read_text().splitlines()
     stray = json.loads(lines[4])
     lines[4] = json.dumps({**stray, "province_id": 999})
@@ -603,10 +600,9 @@ def test_complaint_of_unknown_province_is_named(fixture_dir, tmp_path, capsys):
     assert named in capsys.readouterr().err
     assert (tmp_path / "out" / "FAILED").read_text().startswith("cluster:")
     # train, explain and causal join each complaint to its province
-    run = fixture_dir / "run_a"
     rc = cli.main([
         "train", "--provinces", str(tmp_path / "provinces.csv"), "--complaints", str(tmp_path / "complaints.jsonl"),
-        "--dea-scores", str(run / "dea_scores.csv"), "--clusters", str(run / "clusters.csv"),
+        "--dea-scores", str(run_a / "dea_scores.csv"), "--clusters", str(run_a / "clusters.csv"),
         "--out", str(tmp_path / "train"),
     ])
     assert rc == 2
@@ -614,7 +610,7 @@ def test_complaint_of_unknown_province_is_named(fixture_dir, tmp_path, capsys):
     assert not (tmp_path / "train" / "model.json").exists()
     rc = cli.main([
         "cluster", "--complaints", str(tmp_path / "complaints.jsonl"), "--provinces", str(tmp_path / "provinces.csv"),
-        "--dea-scores", str(run / "dea_scores.csv"), "--out", str(tmp_path / "cluster"),
+        "--dea-scores", str(run_a / "dea_scores.csv"), "--out", str(tmp_path / "cluster"),
     ])
     assert rc == 2
     assert named in capsys.readouterr().err
