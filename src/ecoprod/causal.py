@@ -448,19 +448,21 @@ r_learner = _learner(Method.R, r_learner_effects)
 # Latent-confounder variational autoencoder
 
 
+CEVAE_BATCH_SIZE = 100  # rows per Adam step
+CEVAE_MC_SAMPLES = 50  # posterior draws per unit effect
+
+
 @dataclass(frozen=True)
 class CevaeConfig:
     latent_dim: int = 20
     hidden_layers: int = 3
     hidden_units: int = 200
     epochs: int = 120
-    batch_size: int = 100
     learning_rate: float = 1e-3
-    mc_samples: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("latent_dim", "hidden_layers", "hidden_units", "epochs", "batch_size", "mc_samples"):
+        for name in ("latent_dim", "hidden_layers", "hidden_units", "epochs"):
             if getattr(self, name) < 1:
                 raise CausalError(f"{name} must be positive")
         if self.learning_rate <= 0:
@@ -588,8 +590,8 @@ def cevae_fit(data: CausalDataset, config: CevaeConfig = DESK_PRESET) -> CevaeMo
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for start in range(0, n, CEVAE_BATCH_SIZE):
+            batch = order[start:start + CEVAE_BATCH_SIZE]
             noise = rng.standard_normal((batch.shape[0], config.latent_dim))
             with ad.Tape() as tape:
                 loss = _batch_loss(model, x[batch], t[batch], y[batch], noise)
@@ -605,7 +607,7 @@ def cevae_fit(data: CausalDataset, config: CevaeConfig = DESK_PRESET) -> CevaeMo
 
 
 def cevae_unit_effects(model: CevaeModel, data: CausalDataset, seed: int = 0) -> np.ndarray:
-    """Per-unit E_z[p(y=1 | t=1, z) - p(y=1 | t=0, z)] over `model.config.mc_samples` posterior draws."""
+    """Per-unit E_z[p(y=1 | t=1, z) - p(y=1 | t=0, z)] over `CEVAE_MC_SAMPLES` posterior draws."""
     rng = np.random.default_rng(derive_seed(seed, "cevae-ate"))
     x = (data.covariates - model.x_mean) / model.x_std
     t = data.treatment.astype(np.float64)[:, None]
@@ -614,12 +616,12 @@ def cevae_unit_effects(model: CevaeModel, data: CausalDataset, seed: int = 0) ->
     std = np.exp(0.5 * logvar.data)
 
     deltas = np.zeros(data.n)
-    for _ in range(model.config.mc_samples):
+    for _ in range(CEVAE_MC_SAMPLES):
         z = ad.Tensor(mu.data + std * rng.standard_normal(std.shape))
         p1 = 1.0 / (1.0 + np.exp(-model.decoder_y1(z).data[:, 0]))
         p0 = 1.0 / (1.0 + np.exp(-model.decoder_y0(z).data[:, 0]))
         deltas += p1 - p0
-    return deltas / model.config.mc_samples
+    return deltas / CEVAE_MC_SAMPLES
 
 
 def cevae_ate(

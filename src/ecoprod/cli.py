@@ -17,6 +17,7 @@ import csv
 import json
 import logging
 import sys
+import time
 import types
 import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
@@ -57,6 +58,13 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None:
     """A ConfigError naming causal.covariates for a name that neither a
     complaint nor the header of provinces.csv supplies."""
@@ -85,11 +93,17 @@ def _rows_for(keys: list, path: Path, parsers: dict) -> list[dict]:
     return [table[key] for key in keys]
 
 
+def _scored_provinces(provinces_path: Path, scores_path: Path) -> tuple[list[ds.ProvinceRecord], ds.ColumnSchema]:
+    """Each province of provinces.csv with its score and group from
+    dea_scores.csv, and the schema of provinces.csv."""
+    provinces, schema = ds.load_provinces(provinces_path)
+    scores = _rows_for([p.id for p in provinces], scores_path, SCORE_COLUMNS)
+    return [replace(p, eco_score=s["theta_vrs"], eco_group=s["group"]) for p, s in zip(provinces, scores)], schema
+
+
 def _province_groups(provinces_path: Path, scores_path: Path) -> dict[int, dea_mod.EcoGroup]:
     """The group dea_scores.csv gives each province of provinces.csv."""
-    provinces, _ = ds.load_provinces(provinces_path)
-    scores = _rows_for([p.id for p in provinces], scores_path, SCORE_COLUMNS)
-    return {p.id: score["group"] for p, score in zip(provinces, scores)}
+    return {p.id: p.eco_group for p in _scored_provinces(provinces_path, scores_path)[0]}
 
 
 def _check_provinces(complaints: list[ds.ComplaintRecord], province_ids, complaints_path: Path) -> None:
@@ -108,16 +122,20 @@ def _load_inputs(
     provinces.csv with its score and group from dea_scores.csv, each
     complaint of complaints.jsonl with its cluster from clusters.csv, and
     the schema of provinces.csv."""
-    provinces, schema = ds.load_provinces(provinces_path)
-    scores = _rows_for([p.id for p in provinces], scores_path, SCORE_COLUMNS)
+    provinces, schema = _scored_provinces(provinces_path, scores_path)
     complaints = ds.load_complaints(complaints_path)
     _check_provinces(complaints, {p.id for p in provinces}, complaints_path)
     clusters = _rows_for([c.id for c in complaints], clusters_path, CLUSTER_COLUMNS)
-    return (
-        [replace(p, eco_score=s["theta_vrs"], eco_group=s["group"]) for p, s in zip(provinces, scores)],
-        [replace(c, cluster_id=row["cluster"]) for c, row in zip(complaints, clusters)],
-        schema,
-    )
+    return provinces, [replace(c, cluster_id=row["cluster"]) for c, row in zip(complaints, clusters)], schema
+
+
+def _classifier_matrix(
+    provinces: list[ds.ProvinceRecord], complaints: list[ds.ComplaintRecord], schema: ds.ColumnSchema
+) -> ds.FeatureMatrix:
+    """The rows of train and explain: every feature of `schema` and one
+    indicator per cluster of the joined complaints."""
+    columns = ds.classifier_columns(schema, max(c.cluster_id for c in complaints) + 1)
+    return ds.build_feature_matrix(provinces, complaints, columns, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +166,11 @@ def stage_dea(provinces_path: Path, out_dir: Path) -> dict:
     vrs = dea_mod.dea_scores(panel, dea_mod.DeaOptions(rts=dea_mod.ReturnsToScale.VRS))
     groups = dea_mod.split_by_median(vrs)
     _make_dir(out_dir)
-    with (out_dir / "dea_scores.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "theta_crs", "theta_vrs", "group"])
-        for i, unit_id in enumerate(panel.unit_ids):
-            writer.writerow([unit_id, repr(float(crs.theta[i])), repr(float(vrs.theta[i])), groups[i].value])
+    _write_csv(
+        out_dir / "dea_scores.csv", ["id", "theta_crs", "theta_vrs", "group"],
+        ([unit_id, repr(float(crs.theta[i])), repr(float(vrs.theta[i])), groups[i].value]
+         for i, unit_id in enumerate(panel.unit_ids)),
+    )
     return {
         "artifacts": ["dea_scores.csv"],
         "n_units": panel.n_units,
@@ -209,21 +227,19 @@ def stage_cluster(
         observed=(embedded, assignment.labels),
     )
     silhouette = perm.s_obs
-
-    clustered = [replace(c, cluster_id=int(label)) for c, label in zip(complaints, assignment.labels)]
-    rates = spectral.coproduction_rate_by_cluster(clustered, n_clusters=k)
+    rates = spectral.coproduction_rate_by_cluster(
+        assignment.labels, [c.response_label.value for c in complaints], k
+    )
 
     shifts_report = None
     if province_groups is not None:
-        groups = [province_groups[c.province_id] for c in clustered]
-        shifts = spectral.centroid_shift(clustered, embeddings, groups)
-        shifts_report = {str(s.cluster): s.distance for s in shifts}
+        is_high = [province_groups[c.province_id] is dea_mod.EcoGroup.HIGH for c in complaints]
+        shifts = spectral.centroid_shift(embeddings, assignment.labels, is_high)
+        # string keys, so that sort_keys orders cluster 10 after cluster 1
+        shifts_report = {str(cluster): distance for cluster, distance in shifts.items()}
 
-    with (out_dir / "clusters.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["complaint_id", "cluster"])
-        for c in clustered:
-            writer.writerow([c.id, c.cluster_id])
+    _write_csv(out_dir / "clusters.csv", ["complaint_id", "cluster"],
+               ([c.id, int(label)] for c, label in zip(complaints, assignment.labels)))
 
     report = {
         "k": k,
@@ -268,14 +284,11 @@ def stage_train(
     config: gbm.TrainConfig,
     out_dir: Path,
 ) -> dict:
-    provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    matrix = _classifier_matrix(*_load_inputs(provinces_path, complaints_path, scores_path, clusters_path))
     _make_dir(out_dir)
-    columns = ds.classifier_columns(schema, max(c.cluster_id for c in complaints) + 1)
-    matrix = ds.build_feature_matrix(provinces, complaints, columns, schema)
-    cv = gbm.cross_validate(matrix.rows, matrix.target.astype(np.float64), config)
-    model = gbm.train_classifier(
-        matrix.rows, matrix.target.astype(np.float64), config, feature_names=matrix.columns
-    )
+    target = matrix.target.astype(np.float64)
+    cv = gbm.cross_validate(matrix.rows, target, config)
+    model = gbm.train_classifier(matrix.rows, target, config, feature_names=matrix.columns)
     gbm.save_model(model, out_dir / "model.json")
     _write_json(
         out_dir / "cv_report.json",
@@ -303,26 +316,25 @@ def stage_explain(
     out_dir: Path,
     archetype_input: str = "probs",
 ) -> dict:
+    if archetype_input not in ("probs", "shap"):
+        raise ConfigError(f"unknown archetype input {archetype_input!r}")
     model = gbm.load_model(model_path)
     provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    matrix = _classifier_matrix(provinces, complaints, schema)
     _make_dir(out_dir)
-    columns = ds.classifier_columns(schema, max(c.cluster_id for c in complaints) + 1)
-    matrix = ds.build_feature_matrix(provinces, complaints, columns, schema)
     if tuple(matrix.columns) != model.feature_names:
         raise ConfigError("feature columns do not match the trained model")
 
-    summary = treeshap.shap_summary(model, matrix.rows)
+    shap = treeshap.tree_shap(model, matrix.rows)
+    summary = treeshap.ShapSummary.of(shap.phi, matrix.rows, model.feature_names)
     margins = gbm.predict_margin(model, matrix.rows)
     probabilities = gbm.predict_proba(model, matrix.rows)
 
-    with (out_dir / "shap.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["complaint_id", "base", "margin", *(f"phi_{c}" for c in matrix.columns)])
-        base = treeshap.expected_margin(model)
-        for i, complaint in enumerate(complaints):
-            writer.writerow(
-                [complaint.id, repr(base), repr(float(margins[i])), *(repr(float(v)) for v in summary.phi[i])]
-            )
+    _write_csv(
+        out_dir / "shap.csv", ["complaint_id", "base", "margin", *(f"phi_{c}" for c in matrix.columns)],
+        ([complaint.id, repr(shap.base), repr(float(margin)), *map(repr, phi)]
+         for complaint, margin, phi in zip(complaints, margins, shap.phi.tolist())),
+    )
 
     (out_dir / "shap_summary.svg").write_text(
         svg.beeswarm_svg(
@@ -336,24 +348,10 @@ def stage_explain(
     # probabilities (default) or the attribution vectors.
     province_ids = sorted({c.province_id for c in complaints})
     row_province = np.array([c.province_id for c in complaints])
-    per_province_prob = np.array(
-        [probabilities[row_province == pid].mean() for pid in province_ids]
-    )
-    if archetype_input == "probs":
-        split = gbm.archetype_clusters(per_province_prob)
-    elif archetype_input == "shap":
-        vectors = np.vstack(
-            [summary.phi[row_province == pid].mean(axis=0) for pid in province_ids]
-        )
-        assignment = spectral.kmeans(vectors, 2, seed=0)
-        means = [per_province_prob[assignment.labels == c].mean() for c in (0, 1)]
-        split = gbm.ArchetypeSplit(
-            labels=assignment.labels,
-            centroids=np.array(means),
-            coproductive_cluster=int(np.argmax(means)),
-        )
-    else:
-        raise ConfigError(f"unknown archetype input {archetype_input!r}")
+    in_province = [row_province == pid for pid in province_ids]
+    per_province_prob = np.array([probabilities[rows].mean() for rows in in_province])
+    vectors = np.vstack([summary.phi[rows].mean(axis=0) for rows in in_province]) if archetype_input == "shap" else None
+    split = gbm.archetype_clusters(per_province_prob, vectors)
 
     archetype_report = {
         "input": archetype_input,
@@ -367,8 +365,7 @@ def stage_explain(
     }
     artifacts = ["shap.csv", "shap_summary.svg", "archetype_report.json"]
     for c in (0, 1):
-        members = {pid for pid, label in zip(province_ids, split.labels) if label == c}
-        rows = np.array([cm.province_id in members for cm in complaints])
+        rows = np.isin(row_province, np.array(province_ids)[split.labels == c])
         if rows.sum() < 2:
             continue
         sub = treeshap.ShapSummary.of(summary.phi[rows], matrix.rows[rows], summary.feature_names)
@@ -592,48 +589,40 @@ def run_pipeline(config: PipelineConfig) -> dict:
         failed_marker.unlink()
 
     provinces, complaints = config.inputs.provinces, config.inputs.complaints
+    scores, clusters = out / "dea_scores.csv", out / "clusters.csv"
     summary: dict = {
         "seed": config.seed,
         "inputs": {"provinces": provinces.name, "complaints": complaints.name},
         "stages": {},
     }
-    stage = "dea"
-    try:
-        summary["stages"]["dea"] = stage_dea(provinces, out)
-
-        stage = "cluster"
-        groups = _province_groups(provinces, out / "dea_scores.csv")
-        summary["stages"]["cluster"] = stage_cluster(
+    # Each stage is looked up when it runs, so that a wrapper set on this
+    # module's attribute after import is the one called.
+    stages = {
+        "dea": lambda: stage_dea(provinces, out),
+        "cluster": lambda: stage_cluster(
             complaints, config.cluster, derive_seed(config.seed, "cluster"), out,
-            province_groups=groups,
-        )
+            province_groups=_province_groups(provinces, scores),
+        ),
+        "train": lambda: stage_train(
+            provinces, complaints, scores, clusters,
+            replace(config.train, seed=derive_seed(config.seed, "train")), out,
+        ),
+        "explain": lambda: stage_explain(out / "model.json", provinces, complaints, scores, clusters, out),
+        "causal": lambda: stage_causal(
+            provinces, complaints, scores, clusters, config.causal, derive_seed(config.seed, "causal"), out,
+        ),
+    }
+    for stage, run in stages.items():
+        logger.info("stage %s: started", stage)
+        started = time.perf_counter()
+        try:
+            summary["stages"][stage] = run()
+        except EcoprodError as exc:
+            failed_marker.write_text(f"{stage}: {exc}\n", encoding="utf-8")
+            raise PipelineStageError(stage, str(exc)) from exc
+        logger.info("stage %s: finished in %.2f s", stage, time.perf_counter() - started)
 
-        stage = "train"
-        train_config = replace(config.train, seed=derive_seed(config.seed, "train"))
-        summary["stages"]["train"] = stage_train(
-            provinces, complaints, out / "dea_scores.csv", out / "clusters.csv",
-            train_config, out,
-        )
-
-        stage = "explain"
-        summary["stages"]["explain"] = stage_explain(
-            out / "model.json", provinces, complaints,
-            out / "dea_scores.csv", out / "clusters.csv", out,
-        )
-
-        stage = "causal"
-        summary["stages"]["causal"] = stage_causal(
-            provinces, complaints, out / "dea_scores.csv", out / "clusters.csv",
-            config.causal, derive_seed(config.seed, "causal"), out,
-        )
-    except EcoprodError as exc:
-        failed_marker.write_text(f"{stage}: {exc}\n", encoding="utf-8")
-        raise PipelineStageError(stage, str(exc)) from exc
-
-    artifacts = []
-    for stage_summary in summary["stages"].values():
-        artifacts.extend(stage_summary["artifacts"])
-    summary["artifacts"] = sorted(artifacts)
+    summary["artifacts"] = sorted(name for stage in summary["stages"].values() for name in stage["artifacts"])
     _write_json(out / "summary.json", summary)
     return summary
 

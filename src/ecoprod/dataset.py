@@ -136,13 +136,19 @@ def read_text(path: Path) -> str:
         raise IngestionError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
-def read_table(path: Path, parsers: dict | typing.Callable[[list[str]], dict]) -> dict:
+def read_table(
+    path: Path,
+    parsers: dict | typing.Callable[[list[str]], dict],
+    check: typing.Callable[[dict], str | None] | None = None,
+) -> dict:
     """The data rows of the CSV file `path` as {key: {column: value}}: the
     cells of the columns of `parsers` (or of the parsers it returns for the
     header row) parsed by theirs, keyed by the first.  The header must name
     each such column once, each row needs a cell per header column and a key
     of its own, and a parser's ValueError rejects its cell; every breach is
-    an IngestionError naming the file, the 1-based line and the column."""
+    an IngestionError naming the file, the 1-based line and the column.  A
+    fault that `check` returns for a parsed row is one too, naming the file
+    and the line."""
     rows = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(rows, [])
     if callable(parsers):
@@ -168,6 +174,8 @@ def read_table(path: Path, parsers: dict | typing.Callable[[list[str]], dict]) -
                 raise IngestionError(f"{where}: bad value {cells[column]!r} in column {column!r}") from None
         if values[key] in table:
             raise IngestionError(f"{where}: repeated value {values[key]!r} in column {key!r}")
+        if check and (fault := check(values)):
+            raise IngestionError(f"{where}: {fault}")
         table[values[key]] = values
     return table
 
@@ -207,14 +215,11 @@ def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema
             **dict.fromkeys(schema.fiscal_columns, checked(float, math.isfinite)),
         }
 
-    table = read_table(path, parsers)
-    for index, row in enumerate(table.values()):
+    def all_zero(row: dict) -> str | None:
         if not any(row[c] > 0 for c in schema.env_columns):
-            rows = csv.reader(io.StringIO(read_text(path), newline=""))
-            for _ in range(index + 2):  # the header, then the data rows up to this one
-                next(rows)
-            columns = ", ".join(map(repr, schema.env_columns))
-            raise IngestionError(f"{path}: line {rows.line_num}: every env input is 0 in columns {columns}")
+            return f"every env input is 0 in columns {', '.join(map(repr, schema.env_columns))}"
+
+    table = read_table(path, parsers, all_zero)
     records = [
         ProvinceRecord(
             id=row["id"],

@@ -59,7 +59,7 @@ import numpy as np
 from .dataset import finite_number, read_text
 from .errors import ConfigError, DegenerateSplitError, TrainingError
 from .seeding import derive_seed
-from .spectral import ClusterAssignment, kmeans
+from .spectral import kmeans
 
 PROBABILITY_CLAMP = 1e-15
 LOSS_INCREASE_TOL = 1e-9
@@ -436,31 +436,31 @@ def cross_validate(x_matrix: np.ndarray, y: np.ndarray, config: TrainConfig) -> 
 
 
 # ---------------------------------------------------------------------------
-# Governance archetypes (two-group split of province-level probabilities)
+# Governance archetypes (two-group split of the provinces)
 
 
 @dataclass(frozen=True)
 class ArchetypeSplit:
     labels: np.ndarray
-    centroids: np.ndarray
     coproductive_cluster: int
 
 
-def archetype_clusters(province_probs: np.ndarray, seed: int = 0) -> ArchetypeSplit:
-    """Two-means split of province-level probabilities; the cluster with the
-    higher centroid is the co-productive archetype."""
+def archetype_clusters(province_probs: np.ndarray, vectors: np.ndarray | None = None) -> ArchetypeSplit:
+    """Two-means split of the provinces on `vectors`, one row per province
+    (by default each province's probability); the cluster with the higher
+    mean probability is the co-productive archetype.  Provinces whose
+    vectors are all identical cannot be split."""
     probs = np.asarray(province_probs, dtype=np.float64)
     if probs.ndim != 1 or probs.shape[0] < 2:
         raise DegenerateSplitError("need at least two province probabilities")
-    if float(probs.max() - probs.min()) == 0.0:
-        raise DegenerateSplitError("identical probabilities cannot be split")
-    assignment: ClusterAssignment = kmeans(probs[:, None], 2, seed)
-    coproductive = int(np.argmax(assignment.centroids[:, 0]))
-    return ArchetypeSplit(
-        labels=assignment.labels,
-        centroids=assignment.centroids[:, 0],
-        coproductive_cluster=coproductive,
-    )
+    points = probs[:, None] if vectors is None else np.asarray(vectors, dtype=np.float64)
+    if points.ndim != 2 or points.shape[0] != probs.shape[0]:
+        raise DegenerateSplitError("need one vector per province probability")
+    if np.all(points == points[0]):
+        raise DegenerateSplitError("identical province vectors cannot be split")
+    labels = kmeans(points, 2, seed=0).labels
+    means = [probs[labels == c].mean() for c in (0, 1)]
+    return ArchetypeSplit(labels=labels, coproductive_cluster=int(np.argmax(means)))
 
 
 # ---------------------------------------------------------------------------

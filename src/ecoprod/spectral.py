@@ -7,8 +7,12 @@ within-cluster sum of squares, and cluster stability is checked with a
 permutation test that independently shuffles every embedding column and
 compares mean silhouette scores.
 
-Descriptive helpers cover the per-cluster co-production rates and the
-high/low-group centroid shift used in the reporting stage.
+Two descriptive helpers serve the cluster report: the co-production rate
+of each cluster and the shift between the mean embeddings of its high- and
+low-efficiency members.  Like the rest of the module they take arrays
+(cluster labels, 0/1 outcomes, a high-group mask), not complaint records,
+so the module depends on no other part of the package but its errors and
+seeding.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dea import EcoGroup
-from .dataset import ComplaintRecord, ResponseLabel
 from .errors import (
     ClusteringError,
     DegenerateSimilarityError,
@@ -63,16 +65,6 @@ class PermutationTestResult:
     s_obs: float
     s_perm: np.ndarray
     p: float
-
-
-@dataclass(frozen=True)
-class CentroidShift:
-    """Mean embeddings of a cluster's high/low members and their distance."""
-
-    cluster: int
-    high_centroid: np.ndarray | None
-    low_centroid: np.ndarray | None
-    distance: float | None
 
 
 def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
@@ -376,61 +368,35 @@ def permutation_test(
     return PermutationTestResult(s_obs=s_obs, s_perm=s_perm, p=exceedance_fraction(s_obs, s_perm))
 
 
-def centroid_shift(
-    complaints: list[ComplaintRecord],
-    embeddings: np.ndarray,
-    groups: list[EcoGroup],
-) -> list[CentroidShift]:
-    """Per cluster: mean embedding of high-group vs low-group members.
-
-    `groups` aligns with `complaints` (each complaint carries its province's
-    group).  A cluster with members from only one group reports no distance.
-    """
+def centroid_shift(embeddings: np.ndarray, labels: np.ndarray, is_high: np.ndarray) -> dict[int, float | None]:
+    """Per cluster of `labels`: the distance between the mean embeddings of
+    its high-group members (`is_high`) and of its low-group members.  A
+    cluster with members from only one group maps to None."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if len(complaints) != embeddings.shape[0] or len(groups) != len(complaints):
-        raise ClusteringError("complaints, embeddings, and groups must align")
-    if any(c.cluster_id is None for c in complaints):
-        raise ClusteringError("every complaint needs a cluster assignment")
-    clusters = sorted({c.cluster_id for c in complaints})
-    labels = np.array([c.cluster_id for c in complaints])
-    is_high = np.array([g is EcoGroup.HIGH for g in groups])
-
-    shifts = []
-    for cluster in clusters:
-        members = labels == cluster
-        high = members & is_high
-        low = members & ~is_high
-        high_centroid = embeddings[high].mean(axis=0) if high.any() else None
-        low_centroid = embeddings[low].mean(axis=0) if low.any() else None
-        distance = (
-            float(np.linalg.norm(high_centroid - low_centroid))
-            if high_centroid is not None and low_centroid is not None
+    labels = np.asarray(labels)
+    is_high = np.asarray(is_high, dtype=bool)
+    if not embeddings.shape[0] == labels.shape[0] == is_high.shape[0]:
+        raise ClusteringError("embeddings, labels, and groups must align")
+    shifts: dict[int, float | None] = {}
+    for cluster in np.unique(labels):
+        high = (labels == cluster) & is_high
+        low = (labels == cluster) & ~is_high
+        shifts[int(cluster)] = (
+            float(np.linalg.norm(embeddings[high].mean(axis=0) - embeddings[low].mean(axis=0)))
+            if high.any() and low.any()
             else None
-        )
-        shifts.append(
-            CentroidShift(
-                cluster=int(cluster),
-                high_centroid=high_centroid,
-                low_centroid=low_centroid,
-                distance=distance,
-            )
         )
     return shifts
 
 
-def coproduction_rate_by_cluster(
-    complaints: list[ComplaintRecord], n_clusters: int | None = None
-) -> list[float | None]:
-    """Fraction of co-production labels per cluster; empty clusters are None."""
-    if any(c.cluster_id is None for c in complaints):
-        raise ClusteringError("every complaint needs a cluster assignment")
-    if n_clusters is None:
-        n_clusters = max(c.cluster_id for c in complaints) + 1
-    totals = np.zeros(n_clusters)
-    positives = np.zeros(n_clusters)
-    for c in complaints:
-        totals[c.cluster_id] += 1
-        positives[c.cluster_id] += c.response_label is ResponseLabel.CO_PRODUCTION
-    return [
-        (positives[c] / totals[c]) if totals[c] else None for c in range(n_clusters)
-    ]
+def coproduction_rate_by_cluster(labels: np.ndarray, outcomes: np.ndarray, n_clusters: int) -> list[float | None]:
+    """Per cluster 0 .. n_clusters - 1, the fraction of its members whose
+    outcome is 1 (co-production, against 0 for a one-way response); an empty
+    cluster is None."""
+    labels = np.asarray(labels)
+    outcomes = np.asarray(outcomes, dtype=np.float64)
+    if labels.shape != outcomes.shape:
+        raise ClusteringError("labels and outcomes must align")
+    totals = np.bincount(labels, minlength=n_clusters)
+    positives = np.bincount(labels, weights=outcomes, minlength=n_clusters)
+    return [float(positives[c] / totals[c]) if totals[c] else None for c in range(n_clusters)]

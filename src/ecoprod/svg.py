@@ -14,6 +14,12 @@ PALETTE = (
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
 )
 
+# Canvas sizes in pixels, one per kind of plot.
+SCATTER_WIDTH, SCATTER_HEIGHT = 640, 480
+BEESWARM_WIDTH = 720
+BAR_WIDTH = 520
+BEESWARM_MAX_FEATURES = 15  # rows of a beeswarm: the most influential features
+
 
 def _header(width: int, height: int, title: str) -> list[str]:
     lines = [
@@ -39,20 +45,14 @@ def _scaler(values: np.ndarray, out_low: float, out_high: float):
     return to_pixels
 
 
-def scatter_svg(
-    points: np.ndarray,
-    labels: np.ndarray,
-    title: str = "",
-    width: int = 640,
-    height: int = 480,
-) -> str:
+def scatter_svg(points: np.ndarray, labels: np.ndarray, title: str = "") -> str:
     """2-d scatter colored by integer label."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     margin = 30
-    sx = _scaler(points[:, 0], margin, width - margin)
-    sy = _scaler(points[:, 1], height - margin, margin + 20)
-    lines = _header(width, height, title)
+    sx = _scaler(points[:, 0], margin, SCATTER_WIDTH - margin)
+    sy = _scaler(points[:, 1], SCATTER_HEIGHT - margin, margin + 20)
+    lines = _header(SCATTER_WIDTH, SCATTER_HEIGHT, title)
     for (x, y), label in zip(points, labels):
         color = PALETTE[int(label) % len(PALETTE)]
         lines.append(f'<circle cx="{float(sx(x)):.2f}" cy="{float(sy(y)):.2f}" r="3" fill="{color}" fill-opacity="0.7"/>')
@@ -66,15 +66,13 @@ def beeswarm_svg(
     value_rows: np.ndarray,
     order: list[int],
     title: str = "",
-    width: int = 720,
-    max_features: int = 15,
 ) -> str:
     """One row per feature (most influential on top); x is the attribution,
     color encodes the feature value (blue low, red high), vertical jitter is
     a deterministic function of the within-feature attribution rank."""
     phi_rows = np.asarray(phi_rows, dtype=np.float64)
     value_rows = np.asarray(value_rows, dtype=np.float64)
-    shown = list(order[:max_features])
+    shown = list(order[:BEESWARM_MAX_FEATURES])
     row_height = 26
     left = 170
     height = 50 + row_height * len(shown)
@@ -82,9 +80,9 @@ def beeswarm_svg(
     span = span if span > 0 else 1.0
 
     def x_pixel(phi):
-        return left + (phi / span) * (width - left - 30) / 2 + (width - left - 30) / 2
+        return left + (phi / span) * (BEESWARM_WIDTH - left - 30) / 2 + (BEESWARM_WIDTH - left - 30) / 2
 
-    lines = _header(width, height, title)
+    lines = _header(BEESWARM_WIDTH, height, title)
     zero_x = x_pixel(0.0)
     lines.append(
         f'<line x1="{zero_x:.2f}" y1="30" x2="{zero_x:.2f}" y2="{height - 18}" stroke="#888" stroke-dasharray="3,3"/>'
@@ -112,17 +110,12 @@ def beeswarm_svg(
     return "\n".join(lines) + "\n"
 
 
-def bar_svg(
-    names: list[str],
-    values: list[float | None],
-    title: str = "",
-    width: int = 520,
-) -> str:
+def bar_svg(names: list[str], values: list[float | None], title: str = "") -> str:
     """Horizontal bars for rates in [0, 1]; None renders as 'n/a'."""
     row_height = 26
     left = 130
     height = 50 + row_height * len(names)
-    lines = _header(width, height, title)
+    lines = _header(BAR_WIDTH, height, title)
     for row, (name, value) in enumerate(zip(names, values)):
         y = 40 + row * row_height
         lines.append(
@@ -134,7 +127,7 @@ def bar_svg(
                 f'<text x="{left + 4}" y="{y + 13}" font-family="sans-serif" font-size="11">n/a</text>'
             )
             continue
-        bar = (width - left - 60) * float(value)
+        bar = (BAR_WIDTH - left - 60) * float(value)
         lines.append(
             f'<rect x="{left}" y="{y}" width="{bar:.2f}" height="18" fill="{PALETTE[0]}"/>'
         )

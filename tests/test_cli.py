@@ -1,6 +1,8 @@
 import csv
 import inspect
 import json
+import logging
+import re
 import shutil
 import xml.etree.ElementTree as ET
 
@@ -170,6 +172,21 @@ def test_pipeline_stage_failure_leaves_marker(tmp_path, capsys):
     assert marker.exists()
     assert "dea" in marker.read_text()
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_pipeline_logs_each_stage_start_and_end(fixture_dir, run_a, tmp_path, caplog):
+    config = small_config("run")
+    config["inputs"] = {name: str(fixture_dir / path) for name, path in config["inputs"].items()}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    caplog.set_level(logging.INFO, logger="ecoprod.cli")
+    assert cli.main(["--verbose", "pipeline", "--config", str(tmp_path / "config.json")]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "ecoprod.cli"]
+    stages = ("dea", "cluster", "train", "explain", "causal")
+    assert [m.split(":")[0] for m in messages] == [f"stage {s}" for s in stages for _ in range(2)]
+    for stage, started, finished in zip(stages, messages[::2], messages[1::2]):
+        assert started == f"stage {stage}: started"
+        assert re.fullmatch(rf"stage {stage}: finished in \d+\.\d\d s", finished)
+    assert (tmp_path / "run" / "summary.json").read_bytes() == (run_a / "summary.json").read_bytes()
 
 
 def test_set_overrides_config(tmp_path, fixture_dir, capsys):

@@ -72,6 +72,17 @@ def test_load_provinces_all_zero_env_row_names_line_and_columns(tmp_path):
         ds.load_provinces(path)
 
 
+def test_load_provinces_names_zero_row_after_multiline_names_from_one_read(tmp_path, monkeypatch):
+    reads = []
+    monkeypatch.setattr(ds, "read_text", lambda path: reads.append(path) or path.read_text(encoding="utf-8"))
+    # quoted names of three and two lines put the all-zero row on line 7
+    path = write(tmp_path, 'id,name,in1,in2,gdp_output\n1,"A\nl\npha",2.0,3.0,10.0\n'
+                           '2,"Be\nta",1.0,0,9.0\n3,Gamma,0,0.0,8.0\n4,Delta,1.0,1.0,7.0\n')
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: line 7: every env input is 0")):
+        ds.load_provinces(path)
+    assert reads == [path]
+
+
 def test_province_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(3)
     schema = ds.DEFAULT_SCHEMA

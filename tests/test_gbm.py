@@ -334,6 +334,21 @@ def test_archetypes_identical_probs_degenerate():
         gbm.archetype_clusters(np.array([0.5, 0.5]))
 
 
+def test_archetypes_split_on_vectors_and_reject_identical_ones():
+    probs = np.array([0.1, 0.15, 0.8, 0.85])
+    # Identical province vectors (as identical attribution means would be)
+    # cannot be split, whatever the probabilities.
+    with pytest.raises(DegenerateSplitError):
+        gbm.archetype_clusters(probs, np.ones((4, 3)))
+    # Distinct vectors split as the probabilities alone do.
+    vectors = np.array([[0.0, 1.0, 0.0], [0.1, 1.0, 0.0], [5.0, -2.0, 1.0], [5.2, -2.0, 1.0]])
+    split = gbm.archetype_clusters(probs, vectors)
+    assert split.labels[0] == split.labels[1]
+    assert split.labels[2] == split.labels[3]
+    assert split.labels[0] != split.labels[2]
+    assert split.labels[2] == split.coproductive_cluster
+
+
 def test_archetypes_recover_planted_regimes():
     rng = np.random.default_rng(6)
     regimes = rng.integers(0, 2, 40)

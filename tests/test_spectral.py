@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecoprod import spectral
-from ecoprod.dataset import ComplaintRecord, ResponseLabel
-from ecoprod.dea import EcoGroup
 from ecoprod.errors import ClusteringError, DegenerateSimilarityError, IsolatedVertexError
 from ecoprod.seeding import derive_seed
 
@@ -360,36 +358,21 @@ def test_spectral_pipeline_recovers_planted_gaussians():
 # --- descriptive reports ----------------------------------------------------
 
 
-def complaint(cid, cluster, label=ResponseLabel.CO_PRODUCTION):
-    return ComplaintRecord(
-        id=cid, province_id=1, embedding=np.zeros(2), sentiment=0.0, attention=0,
-        response_label=label, cluster_id=cluster,
-    )
-
-
 def test_centroid_shift_identical_groups_zero_distance():
-    complaints = [complaint(i, 0) for i in range(4)]
     embeddings = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-    groups = [EcoGroup.HIGH, EcoGroup.HIGH, EcoGroup.LOW, EcoGroup.LOW]
-    shifts = spectral.centroid_shift(complaints, embeddings, groups)
-    assert shifts[0].distance == pytest.approx(0.0, abs=1e-12)
+    shifts = spectral.centroid_shift(embeddings, np.zeros(4, dtype=int), [True, True, False, False])
+    assert shifts[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_centroid_shift_three_four_five():
-    complaints = [complaint(0, 0), complaint(1, 0)]
     embeddings = np.array([[0.0, 0.0], [3.0, 4.0]])
-    groups = [EcoGroup.HIGH, EcoGroup.LOW]
-    shifts = spectral.centroid_shift(complaints, embeddings, groups)
-    assert shifts[0].distance == pytest.approx(5.0)
+    shifts = spectral.centroid_shift(embeddings, np.array([0, 0]), [True, False])
+    assert shifts[0] == pytest.approx(5.0)
 
 
 def test_centroid_shift_single_group_cluster_absent():
-    complaints = [complaint(0, 0), complaint(1, 0)]
-    embeddings = np.zeros((2, 2))
-    groups = [EcoGroup.HIGH, EcoGroup.HIGH]
-    shifts = spectral.centroid_shift(complaints, embeddings, groups)
-    assert shifts[0].distance is None
-    assert shifts[0].low_centroid is None
+    shifts = spectral.centroid_shift(np.zeros((2, 2)), np.array([0, 0]), [True, True])
+    assert shifts == {0: None}
 
 
 def test_centroid_shift_group_independent_clusters_small():
@@ -398,30 +381,23 @@ def test_centroid_shift_group_independent_clusters_small():
     centers = np.array([[0.0, 0.0], [40.0, 0.0]])
     labels = rng.integers(0, 2, 300)
     embeddings = centers[labels] + rng.standard_normal((300, 2))
-    complaints = [complaint(i, int(labels[i])) for i in range(300)]
-    groups = [EcoGroup.HIGH if rng.random() < 0.5 else EcoGroup.LOW for _ in range(300)]
-    shifts = spectral.centroid_shift(complaints, embeddings, groups)
+    is_high = [rng.random() < 0.5 for _ in range(300)]
+    shifts = spectral.centroid_shift(embeddings, labels, is_high)
     inter = np.linalg.norm(centers[0] - centers[1])
-    for shift in shifts:
-        assert shift.distance is not None
-        assert shift.distance < inter / 4
+    assert sorted(shifts) == [0, 1]
+    for distance in shifts.values():
+        assert distance is not None
+        assert distance < inter / 4
 
 
 def test_coproduction_rates():
-    complaints = [
-        complaint(0, 0, ResponseLabel.CO_PRODUCTION),
-        complaint(1, 0, ResponseLabel.CO_PRODUCTION),
-        complaint(2, 0, ResponseLabel.ONE_WAY),
-        complaint(3, 0, ResponseLabel.ONE_WAY),
-        complaint(4, 1, ResponseLabel.CO_PRODUCTION),
-    ]
-    rates = spectral.coproduction_rate_by_cluster(complaints)
+    rates = spectral.coproduction_rate_by_cluster(np.array([0, 0, 0, 0, 1]), np.array([1, 1, 0, 0, 1]), 2)
     assert rates[0] == pytest.approx(0.5)
     assert rates[1] == pytest.approx(1.0)
 
 
 def test_coproduction_rate_empty_cluster_absent():
-    rates = spectral.coproduction_rate_by_cluster([complaint(0, 2)], n_clusters=4)
+    rates = spectral.coproduction_rate_by_cluster(np.array([2]), np.array([1]), n_clusters=4)
     assert rates[0] is None and rates[1] is None and rates[3] is None
     assert rates[2] == 1.0
 
@@ -429,11 +405,11 @@ def test_coproduction_rate_empty_cluster_absent():
 def test_coproduction_rates_match_planted_probabilities():
     rng = np.random.default_rng(22)
     planted = {0: 0.2, 1: 0.8}
-    complaints = []
+    labels, outcomes = [], []
     for cluster, rate in planted.items():
         for i in range(1000):
-            label = ResponseLabel.CO_PRODUCTION if rng.random() < rate else ResponseLabel.ONE_WAY
-            complaints.append(complaint(len(complaints), cluster, label))
-    rates = spectral.coproduction_rate_by_cluster(complaints)
+            labels.append(cluster)
+            outcomes.append(int(rng.random() < rate))
+    rates = spectral.coproduction_rate_by_cluster(np.array(labels), np.array(outcomes), 2)
     assert rates[0] == pytest.approx(0.2, abs=0.05)
     assert rates[1] == pytest.approx(0.8, abs=0.05)
