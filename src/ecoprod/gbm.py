@@ -45,7 +45,10 @@ a round.
 
 Trees route strictly-less-than-threshold to the left child and record the
 training row count as the node cover, which the Shapley attribution pass
-reuses as its background distribution.
+reuses as its background distribution.  A tree is its model.json node: a
+split is {feature, threshold, cover, left, right} and a leaf {weight, cover}.
+`BoostedModel.trees` holds these same nodes and `model_to_json` shares them,
+so copy a dump before editing it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from .seeding import derive_seed
 from .spectral import kmeans
 
 PROBABILITY_CLAMP = 1e-15
-LOSS_INCREASE_TOL = 1e-9
 
 
 _MODEL_KEYS = {"objective", "base_score", "eta", "feature_names", "trees"}
@@ -82,53 +84,22 @@ def _number(value, where: str):
     return value
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (weight); cover is
-    the number of training rows that reached the node."""
-
-    cover: float
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"weight": self.weight, "cover": self.cover}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "cover": self.cover,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj, where: str, n_features: int) -> "TreeNode":
-        """The node `obj` of a model dump, checked against the schema of
-        `to_dict`; a violation is a ConfigError naming `where`."""
-        leaf = isinstance(obj, dict) and "weight" in obj
-        _check_keys(obj, _LEAF_KEYS if leaf else _SPLIT_KEYS, where)
-        if not (finite_number(obj["cover"]) and obj["cover"] > 0):
-            raise ConfigError(f"{where}.cover must be a finite number > 0, got {obj['cover']!r}")
-        if leaf:
-            return cls(cover=obj["cover"], weight=_number(obj["weight"], f"{where}.weight"))
-        feature = obj["feature"]
-        if type(feature) is not int or not 0 <= feature < n_features:
-            raise ConfigError(f"{where}.feature must be an int in [0, {n_features}), got {feature!r}")
-        return cls(
-            cover=obj["cover"],
-            feature=feature,
-            threshold=_number(obj["threshold"], f"{where}.threshold"),
-            left=cls.from_dict(obj["left"], f"{where}.left", n_features),
-            right=cls.from_dict(obj["right"], f"{where}.right", n_features),
-        )
+def _check_tree(node, where: str, n_features: int) -> None:
+    """Check the model.json node `node` and every node below it; a violation
+    is a ConfigError naming `where`."""
+    leaf = isinstance(node, dict) and "weight" in node
+    _check_keys(node, _LEAF_KEYS if leaf else _SPLIT_KEYS, where)
+    if not (finite_number(node["cover"]) and node["cover"] > 0):
+        raise ConfigError(f"{where}.cover must be a finite number > 0, got {node['cover']!r}")
+    if leaf:
+        _number(node["weight"], f"{where}.weight")
+        return
+    feature = node["feature"]
+    if type(feature) is not int or not 0 <= feature < n_features:
+        raise ConfigError(f"{where}.feature must be an int in [0, {n_features}), got {feature!r}")
+    _number(node["threshold"], f"{where}.threshold")
+    _check_tree(node["left"], f"{where}.left", n_features)
+    _check_tree(node["right"], f"{where}.right", n_features)
 
 
 @dataclass(frozen=True)
@@ -160,7 +131,7 @@ class TrainConfig:
 class BoostedModel:
     """Additive tree ensemble: margin(x) = base_score + eta * sum of trees."""
 
-    trees: list[TreeNode]
+    trees: list[dict]  # model.json nodes, shared with model_to_json's output
     eta: float
     base_score: float
     feature_names: tuple[str, ...]
@@ -172,13 +143,13 @@ class BoostedModel:
         return len(self.feature_names)
 
 
-def _predict_tree(node: TreeNode, x_matrix: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
-    if node.is_leaf:
-        out[rows] += node.weight
+def _predict_tree(node: dict, x_matrix: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
+    if "weight" in node:
+        out[rows] += node["weight"]
         return
-    goes_left = x_matrix[rows, node.feature] < node.threshold
-    _predict_tree(node.left, x_matrix, out, rows[goes_left])
-    _predict_tree(node.right, x_matrix, out, rows[~goes_left])
+    goes_left = x_matrix[rows, node["feature"]] < node["threshold"]
+    _predict_tree(node["left"], x_matrix, out, rows[goes_left])
+    _predict_tree(node["right"], x_matrix, out, rows[~goes_left])
 
 
 def predict_margin(model: BoostedModel, x_matrix: np.ndarray) -> np.ndarray:
@@ -279,10 +250,10 @@ def _grow_tree(
     config: TrainConfig,
     depth: int,
     update: np.ndarray,
-) -> TreeNode:
+) -> dict:
     """Grow the subtree over `rows` (ascending) with sorted block `block`
-    (None at `max_depth`) and, if already known, its boundary `view`; each
-    leaf adds its weight to `update` at its rows."""
+    (None at `max_depth`) and, if already known, its boundary `view`, as a
+    model.json node; each leaf adds its weight to `update` at its rows."""
     cover = float(rows.shape[0])
     split = None
     if depth < config.max_depth and rows.shape[0] > 1:
@@ -292,7 +263,7 @@ def _grow_tree(
     if split is None:
         weight = float(-g[rows].sum() / (h[rows].sum() + config.reg_lambda))
         update[rows] += weight
-        return TreeNode(cover=cover, weight=weight)
+        return {"weight": weight, "cover": cover}
     _, feature, threshold = split
     goes_left = data.columns[feature] < threshold
     left = goes_left[rows]
@@ -301,10 +272,13 @@ def _grow_tree(
         in_left = goes_left[block]
         left_block = block[in_left].reshape(block.shape[0], -1)
         right_block = block[~in_left].reshape(block.shape[0], -1)
-    node = TreeNode(cover=cover, feature=feature, threshold=threshold)
-    node.left = _grow_tree(data, rows[left], left_block, None, g, h, config, depth + 1, update)
-    node.right = _grow_tree(data, rows[~left], right_block, None, g, h, config, depth + 1, update)
-    return node
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "cover": cover,
+        "left": _grow_tree(data, rows[left], left_block, None, g, h, config, depth + 1, update),
+        "right": _grow_tree(data, rows[~left], right_block, None, g, h, config, depth + 1, update),
+    }
 
 
 def _logistic_loss(y: np.ndarray, p: np.ndarray) -> float:
@@ -330,8 +304,8 @@ def train_classifier(
     config: TrainConfig,
     feature_names: tuple[str, ...] | None = None,
 ) -> BoostedModel:
-    """Boosted logistic classifier; the training loss is checked to be
-    non-increasing across rounds."""
+    """Boosted logistic classifier; `training_loss` holds the loss after each
+    round.  A full Newton step (eta 1, no `reg_lambda`) can raise it."""
     x_matrix, y = _validate_inputs(x_matrix, y)
     classes = np.unique(y)
     if not np.all(np.isin(classes, (0.0, 1.0))):
@@ -349,8 +323,7 @@ def train_classifier(
     data = _Presorted(x_matrix, config.min_child_cover)
     margins = np.full(n, model.base_score)
     p = 1.0 / (1.0 + np.exp(-margins))
-    loss = _logistic_loss(y, p)
-    for round_index in range(config.rounds):
+    for _ in range(config.rounds):
         g = p - y
         h = p * (1.0 - p)
         update = np.zeros(n)
@@ -358,13 +331,7 @@ def train_classifier(
         model.trees.append(tree)
         margins = margins + config.eta * update
         p = 1.0 / (1.0 + np.exp(-margins))
-        new_loss = _logistic_loss(y, p)
-        if new_loss > loss + LOSS_INCREASE_TOL * max(1.0, abs(loss)):
-            raise TrainingError(
-                f"training loss increased at round {round_index}: {loss} -> {new_loss}"
-            )
-        loss = new_loss
-        model.training_loss.append(loss)
+        model.training_loss.append(_logistic_loss(y, p))
     return model
 
 
@@ -469,13 +436,14 @@ def archetype_clusters(province_probs: np.ndarray, vectors: np.ndarray | None = 
 
 def model_to_json(model: BoostedModel) -> dict:
     """Schema: {objective, base_score, eta, feature_names, trees: [node...]}
-    where node = {feature, threshold, cover, left, right} | {weight, cover}."""
+    where node = {feature, threshold, cover, left, right} | {weight, cover}.
+    The nodes are the model's own, not copies."""
     return {
         "objective": model.objective,
         "base_score": model.base_score,
         "eta": model.eta,
         "feature_names": list(model.feature_names),
-        "trees": [tree.to_dict() for tree in model.trees],
+        "trees": list(model.trees),
     }
 
 
@@ -490,8 +458,10 @@ def model_from_json(obj) -> BoostedModel:
         raise ConfigError("feature_names must be a list of strings")
     if not isinstance(obj["trees"], list):
         raise ConfigError("trees must be a list")
+    for i, tree in enumerate(obj["trees"]):
+        _check_tree(tree, f"trees[{i}]", len(names))
     return BoostedModel(
-        trees=[TreeNode.from_dict(tree, f"trees[{i}]", len(names)) for i, tree in enumerate(obj["trees"])],
+        trees=obj["trees"],
         eta=_number(obj["eta"], "eta"),
         base_score=_number(obj["base_score"], "base_score"),
         feature_names=tuple(names),

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingError
-from .gbm import BoostedModel, TreeNode
+from .gbm import BoostedModel
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,12 @@ class ShapValues:
     feature_names: tuple[str, ...]
 
 
-def _expected_leaf_value(node: TreeNode) -> float:
-    if node.is_leaf:
-        return node.weight
-    left = _expected_leaf_value(node.left) * node.left.cover
-    right = _expected_leaf_value(node.right) * node.right.cover
-    return (left + right) / node.cover
+def _expected_leaf_value(node: dict) -> float:
+    if "weight" in node:
+        return node["weight"]
+    left = _expected_leaf_value(node["left"]) * node["left"]["cover"]
+    right = _expected_leaf_value(node["right"]) * node["right"]["cover"]
+    return (left + right) / node["cover"]
 
 
 def expected_margin(model: BoostedModel) -> float:
@@ -98,37 +98,37 @@ def _unwound_sum(path: list[list[float]], index: int) -> float:
     return sum(entry[3] for entry in _unwind(path, index))
 
 
-def _tree_leaves(node: TreeNode, ancestors: tuple = ()) -> list[tuple[TreeNode, tuple]]:
+def _tree_leaves(node: dict, ancestors: tuple = ()) -> list[tuple[dict, tuple]]:
     """Every leaf with its ancestors, root first, as (node, went_left)."""
-    if node.is_leaf:
+    if "weight" in node:
         return [(node, ancestors)]
-    return _tree_leaves(node.left, (*ancestors, (node, True))) + _tree_leaves(
-        node.right, (*ancestors, (node, False))
+    return _tree_leaves(node["left"], (*ancestors, (node, True))) + _tree_leaves(
+        node["right"], (*ancestors, (node, False))
     )
 
 
-def _path_adds(ancestors: tuple, leaf: TreeNode, hot: list[bool]) -> list[tuple[int, float]]:
+def _path_adds(ancestors: tuple, leaf: dict, hot: list[bool]) -> list[tuple[int, float]]:
     """The (feature, value) adds the recursion makes at `leaf` for a row whose
     path to it goes hot at the ancestors flagged in `hot`, in its order."""
     path = _extend([], 1.0, 1.0, -1)
     for (node, went_left), is_hot in zip(ancestors, hot):
-        child = node.left if went_left else node.right
+        child = node["left" if went_left else "right"]
         incoming_zero = incoming_one = 1.0
         for k, entry in enumerate(path):
-            if entry[0] == node.feature:
+            if entry[0] == node["feature"]:
                 incoming_zero, incoming_one = entry[1], entry[2]
                 path = _unwind(path, k)
                 break
         path = _extend(
-            path, incoming_zero * child.cover / node.cover, incoming_one if is_hot else 0.0, node.feature
+            path, incoming_zero * child["cover"] / node["cover"], incoming_one if is_hot else 0.0, node["feature"]
         )
     return [
-        (path[i][0], _unwound_sum(path, i) * (path[i][2] - path[i][1]) * leaf.weight)
+        (path[i][0], _unwound_sum(path, i) * (path[i][2] - path[i][1]) * leaf["weight"])
         for i in range(1, len(path))
     ]
 
 
-def _add_tree(tree: TreeNode, x_matrix: np.ndarray, phi: np.ndarray, stride: int) -> None:
+def _add_tree(tree: dict, x_matrix: np.ndarray, phi: np.ndarray, stride: int) -> None:
     """Add one tree's attributions to the flat row-major `phi`, whose rows
     are `stride` long and end in a scratch column."""
     leaves = _tree_leaves(tree)
@@ -142,7 +142,7 @@ def _add_tree(tree: TreeNode, x_matrix: np.ndarray, phi: np.ndarray, stride: int
         for node, _ in ancestors:
             n_leaves[id(node)] = n_leaves.get(id(node), 0) + 1
             if id(node) not in goes_left:
-                goes_left[id(node)] = x_matrix[:, node.feature] < node.threshold
+                goes_left[id(node)] = x_matrix[:, node["feature"]] < node["threshold"]
 
     # One row of add lists per (leaf, code) that occurs; slot[p, r] is the
     # one row r takes at the p-th leaf the recursion visits.  Codes no row
@@ -162,9 +162,9 @@ def _add_tree(tree: TreeNode, x_matrix: np.ndarray, phi: np.ndarray, stride: int
             if k and k % 62 == 0:  # renumber to keep the codes inside int64
                 code = np.unique(code, return_inverse=True)[1].reshape(-1)
             hot = goes_left[id(node)] == went_left
-            sibling = node.right if went_left else node.left
+            sibling = node["right" if went_left else "left"]
             code = 2 * code + hot
-            position += ~hot * (1 if sibling.is_leaf else n_leaves[id(sibling)])
+            position += ~hot * n_leaves.get(id(sibling), 1)
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         slot[position, rows] = len(features) + inverse.reshape(-1)
         for r in first:
@@ -226,7 +226,3 @@ class ShapSummary:
         ranking = tuple((feature_names[j], float(mean_abs[j])) for j in order)
         return cls(ranking=ranking, order=order, phi=phi, values=values, feature_names=feature_names)
 
-
-def shap_summary(model: BoostedModel, x_matrix: np.ndarray) -> ShapSummary:
-    x_matrix = np.atleast_2d(np.asarray(x_matrix, dtype=np.float64))
-    return ShapSummary.of(tree_shap(model, x_matrix).phi, x_matrix, model.feature_names)

@@ -124,14 +124,14 @@ def dea_theta_oracle(x_panel: np.ndarray, y_panel: np.ndarray, o: int, vrs: bool
 
 def tree_conditional_expectation(node, x_row: np.ndarray, subset: set[int]) -> float:
     """Cover-weighted expectation of one tree with the subset's features fixed."""
-    if node.is_leaf:
-        return node.weight
-    if node.feature in subset:
-        child = node.left if x_row[node.feature] < node.threshold else node.right
+    if "weight" in node:
+        return node["weight"]
+    if node["feature"] in subset:
+        child = node["left"] if x_row[node["feature"]] < node["threshold"] else node["right"]
         return tree_conditional_expectation(child, x_row, subset)
-    left = tree_conditional_expectation(node.left, x_row, subset) * node.left.cover
-    right = tree_conditional_expectation(node.right, x_row, subset) * node.right.cover
-    return (left + right) / node.cover
+    left = tree_conditional_expectation(node["left"], x_row, subset) * node["left"]["cover"]
+    right = tree_conditional_expectation(node["right"], x_row, subset) * node["right"]["cover"]
+    return (left + right) / node["cover"]
 
 
 def brute_force_shapley(model, x_row: np.ndarray) -> np.ndarray:
@@ -189,21 +189,24 @@ def _reference_recurse(node, x_row, phi, path, zero_fraction, one_fraction, feat
     """One row's walk of one tree, hot child first; a path entry is
     [feature, zero_fraction, one_fraction, weight]."""
     path = _reference_extend(path, zero_fraction, one_fraction, feature)
-    if node.is_leaf:
+    if "weight" in node:
         for i in range(1, len(path)):
             weight = sum(entry[3] for entry in _reference_unwind(path, i))
-            phi[path[i][0]] += weight * (path[i][2] - path[i][1]) * node.weight
+            phi[path[i][0]] += weight * (path[i][2] - path[i][1]) * node["weight"]
         return
-    hot, cold = (node.left, node.right) if x_row[node.feature] < node.threshold else (node.right, node.left)
+    feature = node["feature"]
+    hot, cold = (
+        (node["left"], node["right"]) if x_row[feature] < node["threshold"] else (node["right"], node["left"])
+    )
     incoming_zero = 1.0
     incoming_one = 1.0
     for k, entry in enumerate(path):
-        if entry[0] == node.feature:
+        if entry[0] == feature:
             incoming_zero, incoming_one = entry[1], entry[2]
             path = _reference_unwind(path, k)
             break
-    _reference_recurse(hot, x_row, phi, path, incoming_zero * hot.cover / node.cover, incoming_one, node.feature)
-    _reference_recurse(cold, x_row, phi, path, incoming_zero * cold.cover / node.cover, 0.0, node.feature)
+    _reference_recurse(hot, x_row, phi, path, incoming_zero * hot["cover"] / node["cover"], incoming_one, feature)
+    _reference_recurse(cold, x_row, phi, path, incoming_zero * cold["cover"] / node["cover"], 0.0, feature)
 
 
 def reference_tree_shap(model, x_matrix: np.ndarray) -> np.ndarray:

@@ -23,9 +23,9 @@ def test_newton_leaf_weight_hand_computed():
     x, y = perfectly_split_data()
     model = gbm.train_classifier(x, y, gbm.TrainConfig(rounds=1, max_depth=1, eta=1.0))
     tree = model.trees[0]
-    assert tree.right.weight == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert tree.left.weight == pytest.approx(-2.0 / 3.0, abs=1e-12)
-    assert tree.cover == tree.left.cover + tree.right.cover
+    assert tree["right"]["weight"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert tree["left"]["weight"] == pytest.approx(-2.0 / 3.0, abs=1e-12)
+    assert tree["cover"] == tree["left"]["cover"] + tree["right"]["cover"]
 
 
 def test_rounds_zero_forbidden():
@@ -52,7 +52,7 @@ def test_empty_ensemble_predicts_half():
 
 
 def test_probabilities_are_clamped():
-    leaf = gbm.TreeNode(cover=1.0, weight=1e6)
+    leaf = {"weight": 1e6, "cover": 1.0}
     model = gbm.BoostedModel(trees=[leaf], eta=1.0, base_score=0.0, feature_names=("f0",),
                              objective="logistic")
     p = gbm.predict_proba(model, np.array([[0.0]]))[0]
@@ -61,11 +61,11 @@ def test_probabilities_are_clamped():
 
 
 def test_hand_built_stump_closed_form():
-    stump = gbm.TreeNode(
-        cover=4.0, feature=0, threshold=0.5,
-        left=gbm.TreeNode(cover=2.0, weight=2.0),
-        right=gbm.TreeNode(cover=2.0, weight=-1.0),
-    )
+    stump = {
+        "feature": 0, "threshold": 0.5, "cover": 4.0,
+        "left": {"weight": 2.0, "cover": 2.0},
+        "right": {"weight": -1.0, "cover": 2.0},
+    }
     model = gbm.BoostedModel(trees=[stump], eta=1.0, base_score=0.0, feature_names=("f0",),
                              objective="logistic")
     assert gbm.predict_proba(model, np.array([[0.0]]))[0] == pytest.approx(0.8808, abs=1e-4)
@@ -85,6 +85,21 @@ def test_training_loss_non_increasing():
     model = gbm.train_classifier(x, y, gbm.TrainConfig(rounds=40, max_depth=3))
     losses = np.array(model.training_loss)
     assert np.all(np.diff(losses) <= 1e-12)
+
+
+def test_full_newton_steps_train_where_the_loss_rises():
+    # A full Newton step (eta 1, reg_lambda 0) on the logistic loss need not
+    # descend: this fit's loss rises at round 3.  The config is accepted, so
+    # it trains, and records the loss the per-node-sort oracle does.
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((40, 3))
+    y = (x[:, 0] + rng.standard_normal(40) > 0).astype(float)
+    config = gbm.TrainConfig(rounds=6, max_depth=2, eta=1.0, reg_lambda=0.0, min_child_cover=2.0)
+    model = gbm.train_classifier(x, y, config)
+    expected, losses = reference_boosted_classifier(x, y, config)
+    assert json.dumps(gbm.model_to_json(model)) == json.dumps(expected)
+    assert model.training_loss == losses
+    assert losses[3] > losses[2]
 
 
 def test_determinism_identical_model_bytes():
@@ -200,6 +215,12 @@ def test_split_search_matches_oracle_on_random_fits():
         regressor = gbm.train_regressor(x, target, config)
         expected = reference_boosted_regressor(x, target, config)
         assert json.dumps(gbm.model_to_json(regressor)) == json.dumps(expected), index
+        # every node shape the grower makes passes the loader's schema check
+        for model in (classifier, regressor):
+            dump = json.dumps(gbm.model_to_json(model))
+            loaded = gbm.model_from_json(json.loads(dump))
+            assert json.dumps(gbm.model_to_json(loaded)) == dump, index
+            assert gbm.predict_margin(loaded, x).tobytes() == gbm.predict_margin(model, x).tobytes(), index
 
 
 def _assert_covers_count_rows(node, x, rows, floor, where):

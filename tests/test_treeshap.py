@@ -14,11 +14,11 @@ def train_small(rng, n=80, d=4, rounds=8, depth=3):
 
 
 def test_single_feature_stump_gets_everything():
-    stump = gbm.TreeNode(
-        cover=10.0, feature=0, threshold=0.0,
-        left=gbm.TreeNode(cover=4.0, weight=-1.0),
-        right=gbm.TreeNode(cover=6.0, weight=2.0),
-    )
+    stump = {
+        "feature": 0, "threshold": 0.0, "cover": 10.0,
+        "left": {"weight": -1.0, "cover": 4.0},
+        "right": {"weight": 2.0, "cover": 6.0},
+    }
     model = gbm.BoostedModel(trees=[stump], eta=1.0, base_score=0.5,
                              feature_names=("f0", "f1", "f2"), objective="logistic")
     x = np.array([[1.0, 9.0, -9.0], [-1.0, 0.0, 0.0]])
@@ -30,7 +30,7 @@ def test_single_feature_stump_gets_everything():
 
 
 def test_constant_model_all_zero():
-    leaves = [gbm.TreeNode(cover=5.0, weight=0.7), gbm.TreeNode(cover=5.0, weight=-0.2)]
+    leaves = [{"weight": 0.7, "cover": 5.0}, {"weight": -0.2, "cover": 5.0}]
     model = gbm.BoostedModel(trees=leaves, eta=0.5, base_score=0.1,
                              feature_names=("a", "b"), objective="logistic")
     shap = treeshap.tree_shap(model, np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -83,7 +83,7 @@ def test_summary_single_feature_model_ranks_it_first():
     x[:, 0] = 0.0
     x[:, 2] = 0.0
     model = gbm.train_classifier(x, y, gbm.TrainConfig(rounds=5, max_depth=2))
-    summary = treeshap.shap_summary(model, x)
+    summary = treeshap.ShapSummary.of(treeshap.tree_shap(model, x).phi, x, model.feature_names)
     assert summary.ranking[0][0] == "f1"
     assert summary.ranking[1][1] == 0.0 and summary.ranking[2][1] == 0.0
 
@@ -95,43 +95,45 @@ def test_summary_treatment_column_dominates():
     x[:, 2] = treatment
     y = (rng.random(300) < np.where(treatment == 1, 0.9, 0.1)).astype(float)
     model = gbm.train_classifier(x, y, gbm.TrainConfig(rounds=30, max_depth=3))
-    summary = treeshap.shap_summary(model, x)
+    summary = treeshap.ShapSummary.of(treeshap.tree_shap(model, x).phi, x, model.feature_names)
     assert summary.ranking[0][0] == "f2"
 
 
 def test_summary_invariant_to_row_order():
     rng = np.random.default_rng(6)
     model, x = train_small(rng, n=120, d=4, rounds=10)
-    forward = treeshap.shap_summary(model, x)
-    backward = treeshap.shap_summary(model, x[::-1])
+    forward = treeshap.ShapSummary.of(treeshap.tree_shap(model, x).phi, x, model.feature_names)
+    x = x[::-1]
+    backward = treeshap.ShapSummary.of(treeshap.tree_shap(model, x).phi, x, model.feature_names)
     assert forward.order == backward.order
     assert [name for name, _ in forward.ranking] == [name for name, _ in backward.ranking]
 
 
 def test_summary_tie_break_by_feature_index():
-    leaves = [gbm.TreeNode(cover=4.0, weight=0.3)]
+    leaves = [{"weight": 0.3, "cover": 4.0}]
     model = gbm.BoostedModel(trees=leaves, eta=1.0, base_score=0.0,
                              feature_names=("a", "b", "c"), objective="logistic")
-    summary = treeshap.shap_summary(model, np.zeros((3, 3)))
+    x = np.zeros((3, 3))
+    summary = treeshap.ShapSummary.of(treeshap.tree_shap(model, x).phi, x, model.feature_names)
     assert [name for name, _ in summary.ranking] == ["a", "b", "c"]
 
 
 def paths_repeat_a_feature(node, seen=()):
-    if node.is_leaf:
+    if "weight" in node:
         return False
-    return node.feature in seen or any(
-        paths_repeat_a_feature(child, (*seen, node.feature)) for child in (node.left, node.right)
+    return node["feature"] in seen or any(
+        paths_repeat_a_feature(child, (*seen, node["feature"])) for child in (node["left"], node["right"])
     )
 
 
 def random_covers(node, rng) -> float:
     """Give the tree under `node` random positive, mostly fractional covers,
     each parent's the sum of its children's; returns the root's."""
-    if node.is_leaf:
-        node.cover = float(rng.uniform(0.05, 4.0))
+    if "weight" in node:
+        node["cover"] = float(rng.uniform(0.05, 4.0))
     else:
-        node.cover = random_covers(node.left, rng) + random_covers(node.right, rng)
-    return node.cover
+        node["cover"] = random_covers(node["left"], rng) + random_covers(node["right"], rng)
+    return node["cover"]
 
 
 def oracle_cases():
@@ -157,12 +159,12 @@ def oracle_cases():
             model = gbm.train_regressor(x, x[:, 0] ** 2 + rng.standard_normal(n), config)
             for tree in model.trees:
                 random_covers(tree, rng)
-        model.trees.append(gbm.TreeNode(cover=1.0, weight=float(rng.standard_normal())))
+        model.trees.append({"weight": float(rng.standard_normal()), "cover": 1.0})
         rows = np.vstack([x, rng.standard_normal((4, d))])
         for tree in model.trees:
-            if not tree.is_leaf:
+            if "weight" not in tree:
                 at_threshold = rows[0].copy()
-                at_threshold[tree.feature] = tree.threshold
+                at_threshold[tree["feature"]] = tree["threshold"]
                 rows = np.vstack([rows, at_threshold])
         rows[-1, 0], rows[-2, -1], rows[-3, 0] = np.nan, np.inf, -np.inf
         yield model, rows
@@ -182,11 +184,11 @@ def test_leaf_tables_match_recursion_oracle():
 def test_leaf_tables_fail_only_where_the_recursion_does():
     # A leaf with zero cover: the recursion divides by its zero fraction for
     # every row that goes the other way, and for no row that reaches it.
-    stump = gbm.TreeNode(
-        cover=10.0, feature=0, threshold=0.0,
-        left=gbm.TreeNode(cover=0.0, weight=-1.0),
-        right=gbm.TreeNode(cover=10.0, weight=2.0),
-    )
+    stump = {
+        "feature": 0, "threshold": 0.0, "cover": 10.0,
+        "left": {"weight": -1.0, "cover": 0.0},
+        "right": {"weight": 2.0, "cover": 10.0},
+    }
     model = gbm.BoostedModel(trees=[stump], eta=1.0, base_score=0.5,
                              feature_names=("a", "b"), objective="logistic")
     reaching = np.array([[-1.0, 0.0], [-2.0, 5.0]])
