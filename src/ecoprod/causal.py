@@ -29,26 +29,18 @@ Confidence intervals are percentile bootstrap at CI_LEVEL: the interval
 endpoints are the floor(alpha/2 * B)-th and ceil((1 - alpha/2) * B)-th
 order statistics of the replicate estimates (1-based, clamped to [1, B]).
 
-Replicates that refit (`bootstrap_ci`, the message unit) run on one forked
-worker per available CPU, `len(os.sched_getaffinity(0))` capped at B; the
-estimates and intervals are identical for any worker count, and
-`taskset -c 0` gives a serial run.  A replicate must depend only on its
-generator: shared mutable state, such as a call counter, is not carried
-between workers.  Python 3.12 and later warn when a multi-threaded process
-forks, and OpenBLAS's threads count.  Replicates that only resample fixed
-values stay in the calling process.
+Replicates that refit (`bootstrap_ci`, the message unit) run through
+`parallel.fork_map`, on one forked worker per available CPU; the estimates
+and intervals are identical for any worker count.  Replicates that only
+resample fixed values stay in the calling process.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -64,6 +56,7 @@ from .gbm import (
     train_classifier,
     train_regressor,
 )
+from .parallel import fork_map
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -148,41 +141,23 @@ def percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]
     return float(values[low_rank - 1]), float(values[high_rank - 1])
 
 
-# The replicate of the running `_bootstrap`.  A closure does not pickle, so
-# forked workers inherit it here instead of receiving it.
-_replicate: Callable[[np.random.Generator], float] | None = None
-
-
-def _run_replicate(seed: int, b: int) -> tuple[float | None, str | None]:
-    """Replicate b under the generator of `bootstrap:<b>`: (estimate, None), or
-    (None, message) when it raises an EcoprodError."""
-    rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{b}"))
-    try:
-        return float(_replicate(rng)), None
-    except EcoprodError as exc:
-        return None, str(exc)
-
-
 def _bootstrap(
     n_boot: int, seed: int, replicate: Callable[[np.random.Generator], float], fork: bool = False
 ) -> np.ndarray:
     """`replicate` under the generator of each `bootstrap:<b>`, b < n_boot.  A replicate that
     raises an EcoprodError (a data-driven failure, such as a one-arm resample) is dropped and
     counted, and more than 10% failures aborts; any other exception is a bug and propagates.
-    With `fork`, the replicates run on one forked worker per available CPU, capped at n_boot,
-    unless this call is itself inside a replicate; results are collected by index, and the
-    failures are logged here in index order."""
-    global _replicate
-    workers = min(len(os.sched_getaffinity(0)), n_boot) if fork and _replicate is None else 1
-    outer, _replicate = _replicate, replicate
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                results = list(pool.map(_run_replicate, repeat(seed), range(n_boot)))
-        else:
-            results = list(map(_run_replicate, repeat(seed), range(n_boot)))
-    finally:
-        _replicate = outer
+    With `fork`, the replicates run through `parallel.fork_map`; results are collected by
+    index, and the failures are logged here in index order."""
+
+    def run(b: int) -> tuple[float | None, str | None]:
+        rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{b}"))
+        try:
+            return float(replicate(rng)), None
+        except EcoprodError as exc:
+            return None, str(exc)
+
+    results = fork_map(run, n_boot) if fork else [run(b) for b in range(n_boot)]
     failures = 0
     for b, (_, error) in enumerate(results):
         if error is not None:
@@ -207,11 +182,11 @@ def bootstrap_ci(
     """Percentile bootstrap of an estimator over resampled-with-replacement
     datasets; failed replicates are handled by `_bootstrap`.
 
-    Each replicate refits, so the replicates run on one forked worker per
-    available CPU (`taskset -c 0` gives a serial run); the interval is
-    identical for any worker count.  `estimator` must depend only on the
-    resampled data: shared mutable state, such as a call counter, is not
-    carried between workers."""
+    Each replicate refits, so the replicates run through `parallel.fork_map`
+    (`taskset -c 0` gives a serial run); the interval is identical for any
+    worker count.  `estimator` must depend only on the resampled data:
+    shared mutable state, such as a call counter, is not carried between
+    workers."""
     if n_boot < MIN_BOOTSTRAP:
         raise CausalError(f"need at least {MIN_BOOTSTRAP} bootstrap replicates")
     if not 0.0 < level < 1.0:

@@ -1,8 +1,16 @@
 """Exception hierarchy shared by all ecoprod modules."""
 
+import copyreg
+
 
 class EcoprodError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        # Unpickle without calling __init__, whose parameters differ from
+        # `args` in some subclasses; the attributes come back from __dict__.
+        # A task's error crosses from a `parallel` worker this way.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class IngestionError(EcoprodError):

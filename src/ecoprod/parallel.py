@@ -1,0 +1,97 @@
+"""One process pool for the package: `fork_map(task, n)` is
+`[task(i) for i in range(n)]`, run on forked workers.
+
+There is one worker per available CPU, `len(os.sched_getaffinity(0))`
+capped at n, so `taskset -c 0` gives a serial run.  Every worker pins each
+loaded OpenBLAS to one thread: on two CPUs, two workers of two threads
+each ran the permutation null more than four times slower than one serial
+process.  A task must depend only on its index: it reaches the workers
+through fork, not pickling, and shared mutable state, such as a call
+counter, is not carried back.  A task's result and any exception it raises
+are pickled back to the caller.  Python 3.12 and later warn when a
+multi-threaded process forks, and OpenBLAS's threads count.
+
+A call runs in the calling process instead, pinned to one thread and
+restored afterwards, when it would have one worker or is made from inside a
+task; so no pool nests, and a task sums the same way wherever it runs.  If
+no OpenBLAS thread count is found, it runs in the calling process
+unpinned, so an unknown BLAS is never oversubscribed.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, TypeVar
+
+logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+
+# The task of the running `fork_map`.  A closure does not pickle, so forked
+# workers inherit it here instead of receiving it.
+_task: Callable[[int], object] | None = None
+
+
+def openblas_thread_counts() -> list[tuple[str, ctypes.c_int]]:
+    """(file name, thread count) of each OpenBLAS this process has loaded,
+    found in /proc/self/maps.
+
+    The count is the library's `blas_cpu_number`: the variable that
+    `scipy_openblas_set_num_threads64_` (numpy's copy) and
+    `scipy_openblas_set_num_threads` (scipy's) set and their `get`
+    counterparts read.  It is written directly, because after a fork the
+    setter first restarts the library's thread pool, whose idle thread then
+    spins: about 0.25 s of CPU per worker for the two copies, which made the
+    refitting bootstrap 20% slower."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        # address, permissions, offset, device, inode, then the path, which may hold spaces
+        paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in maps if "openblas" in line})
+    counts = []
+    for path in paths:
+        try:
+            counts.append((os.path.basename(path), ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")))
+        except ValueError:  # not an OpenBLAS build that exports its thread count
+            pass
+    return counts
+
+
+def _pin_one_thread(counts: list[tuple[str, ctypes.c_int]]) -> None:
+    for _, count in counts:
+        count.value = 1
+
+
+def _call(i: int):
+    return _task(i)
+
+
+def fork_map(task: Callable[[int], T], n: int) -> list[T]:
+    """[task(i) for i in range(n)], on forked workers pinned to one BLAS
+    thread each (see the module docstring)."""
+    global _task
+    counts = openblas_thread_counts()
+    workers = min(len(os.sched_getaffinity(0)), n) if counts and _task is None else 1
+    previous = [count.value for _, count in counts]
+    pins = ", ".join(f"{name} (was {value})" for (name, _), value in zip(counts, previous))
+    logger.debug("%d tasks on %d worker(s)%s; %s", n, workers, "" if workers > 1 else " in-process",
+                 f"OpenBLAS pinned to 1 thread: {pins}" if pins else "no OpenBLAS found, unpinned")
+    outer, _task = _task, task
+    try:
+        if workers > 1:
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_pin_one_thread, initargs=(counts,))
+            try:
+                return list(pool.map(_call, range(n)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        _pin_one_thread(counts)
+        try:
+            return [task(i) for i in range(n)]
+        finally:
+            for (_, count), value in zip(counts, previous):
+                count.value = value
+    finally:
+        _task = outer

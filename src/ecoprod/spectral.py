@@ -11,8 +11,14 @@ Two descriptive helpers serve the cluster report: the co-production rate
 of each cluster and the shift between the mean embeddings of its high- and
 low-efficiency members.  Like the rest of the module they take arrays
 (cluster labels, 0/1 outcomes, a high-group mask), not complaint records,
-so the module depends on no other part of the package but its errors and
-seeding.
+so the module depends on no other part of the package but its errors,
+seeding and `parallel`.
+
+The k values of the elbow curve and the shuffled replicates of the
+permutation test are independent and seeded by their index, so they run
+through `parallel.fork_map`: on one forked worker per available CPU, each
+pinned to one BLAS thread.  The observed clustering stays in the calling
+process.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .errors import (
     EigenSolverError,
     IsolatedVertexError,
 )
+from .parallel import fork_map
 from .seeding import derive_seed
 
 KMEANS_MAX_ITER = 300
@@ -265,8 +272,12 @@ def spectral_cluster(embeddings: np.ndarray, k: int, seed: int) -> tuple[Cluster
 
 
 def wcss_curve(points: np.ndarray, k_max: int, seed: int) -> np.ndarray:
-    """wcss for k = 1..k_max (index 0 holds k=1)."""
-    return np.array([best_kmeans(points, k, derive_seed(seed, f"elbow:{k}")).wcss for k in range(1, k_max + 1)])
+    """wcss for k = 1..k_max (index 0 holds k=1), one k per `fork_map` task."""
+
+    def wcss(i: int) -> float:
+        return best_kmeans(points, i + 1, derive_seed(seed, f"elbow:{i + 1}")).wcss
+
+    return np.array(fork_map(wcss, k_max))
 
 
 def elbow_from_curve(curve: np.ndarray) -> int:
@@ -357,14 +368,14 @@ def permutation_test(
         observed = embedded, assignment.labels
     s_obs = silhouette_score(*observed)
 
-    s_perm = np.empty(n_permutations)
-    for i in range(n_permutations):
+    def replicate(i: int) -> float:
         replicate_seed = derive_seed(seed, f"replicate:{i}")
         rng = np.random.default_rng(replicate_seed)
         shuffled = _shuffle_columns(embeddings, rng)
         perm_assignment, perm_embedded = spectral_cluster(shuffled, k, replicate_seed)
-        s_perm[i] = silhouette_score(perm_embedded, perm_assignment.labels)
+        return silhouette_score(perm_embedded, perm_assignment.labels)
 
+    s_perm = np.array(fork_map(replicate, n_permutations))
     return PermutationTestResult(s_obs=s_obs, s_perm=s_perm, p=exceedance_fraction(s_obs, s_perm))
 
 

@@ -12,6 +12,8 @@ import pytest
 from ecoprod import causal, cli, gbm, spectral, treeshap
 from ecoprod.seeding import derive_seed
 
+from test_causal import use_cpus
+
 
 SYNTH_ARGS = ["--provinces", "14", "--complaints", "160", "--clusters", "3",
               "--embedding-dim", "12", "--seed", "11"]
@@ -340,7 +342,9 @@ def test_cluster_count_flag_out_of_range_exits_2(fixture_dir, tmp_path, capsys, 
 
 def test_cluster_stage_solves_the_observed_embedding_once(fixture_dir, tmp_path, monkeypatch):
     # The permutation test reuses the stage's own spectral embedding, so only
-    # each shuffled replicate needs another eigensolve.
+    # each shuffled replicate needs another eigensolve.  One CPU keeps the
+    # replicates in this process, where the count sees them.
+    use_cpus(monkeypatch, 1)
     calls = []
     original = spectral.spectral_embed
 

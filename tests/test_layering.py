@@ -1,7 +1,8 @@
 """Which modules of ecoprod may import which.  The algorithm modules work on
 arrays, and the records of `ecoprod.dataset` stop at the stages in `cli`, so
-`spectral` needs nothing of the package but its errors and seeding, and no
-module but `cli` itself reaches into `cli`."""
+`spectral` needs nothing of the package but its errors, seeding and the one
+process pool in `parallel`, which in turn needs nothing but the errors; and
+no module but `cli` itself reaches into `cli`."""
 
 import ast
 from pathlib import Path
@@ -23,8 +24,12 @@ def package_imports(path: Path) -> set[str]:
     return names
 
 
-def test_spectral_imports_only_errors_and_seeding():
-    assert package_imports(SRC / "spectral.py") <= {"errors", "seeding"}
+def test_spectral_imports_only_errors_seeding_and_parallel():
+    assert package_imports(SRC / "spectral.py") <= {"errors", "seeding", "parallel"}
+
+
+def test_parallel_imports_only_errors():
+    assert package_imports(SRC / "parallel.py") <= {"errors"}
 
 
 def test_only_cli_imports_cli():

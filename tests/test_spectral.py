@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +14,7 @@ from ecoprod.errors import ClusteringError, DegenerateSimilarityError, IsolatedV
 from ecoprod.seeding import derive_seed
 
 from oracles import adjusted_rand_index, reference_kmeans, reference_silhouette
+from test_causal import use_cpus
 
 
 # --- similarity -------------------------------------------------------------
@@ -321,6 +327,73 @@ def test_permutation_test_reuses_given_embedding():
     moved = spectral.permutation_test(points, 3, 4, 26, observed=(embedded, other))
     assert moved.s_obs == spectral.silhouette_score(embedded, other) < shared.s_obs
     assert np.array_equal(moved.s_perm, fresh.s_perm)
+
+
+def four_blobs(n=200, d=8, seed=4):
+    rng = np.random.default_rng(seed)
+    centers = 3.0 * rng.standard_normal((4, d))
+    return centers[rng.integers(0, 4, n)] + rng.standard_normal((n, d))
+
+
+def test_permutation_null_identical_for_one_and_two_workers(monkeypatch):
+    points = four_blobs()
+    results = []
+    for count in (1, 2):
+        use_cpus(monkeypatch, count)
+        results.append(spectral.permutation_test(points, 4, 5, 8))
+    one, two = results
+    assert one.s_perm.tobytes() == two.s_perm.tobytes()
+    assert one.s_obs == two.s_obs and one.p == two.p
+
+
+def test_permutation_null_matches_the_serial_loop_it_replaced():
+    # The serial loop ran the replicates at the process's default BLAS thread
+    # count; the workers sum on one thread, so s_perm may move in the last
+    # digits, within a written 1e-9, while s_obs (computed in the caller) and
+    # p stay equal.
+    points = four_blobs()
+    result = spectral.permutation_test(points, 4, 5, 8)
+    serial = np.empty(5)
+    for i in range(5):
+        replicate_seed = derive_seed(8, f"replicate:{i}")
+        shuffled = spectral._shuffle_columns(points, np.random.default_rng(replicate_seed))
+        assignment, embedded = spectral.spectral_cluster(shuffled, 4, replicate_seed)
+        serial[i] = spectral.silhouette_score(embedded, assignment.labels)
+    assert np.max(np.abs(result.s_perm - serial)) <= 1e-9
+    assert result.p == spectral.exceedance_fraction(result.s_obs, serial)
+    assignment, embedded = spectral.spectral_cluster(points, 4, derive_seed(8, "observed"))
+    assert result.s_obs == spectral.silhouette_score(embedded, assignment.labels)
+
+
+NULL_BYTES = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {0})
+import numpy as np
+from ecoprod import spectral
+rng = np.random.default_rng(4)
+centers = 3.0 * rng.standard_normal((4, 8))
+points = centers[rng.integers(0, 4, 200)] + rng.standard_normal((200, 8))
+print(spectral.permutation_test(points, 4, 4, 8).s_perm.tobytes().hex())
+"""
+
+
+def test_permutation_null_bytes_do_not_depend_on_the_cpu_count():
+    # Each run pins its replicates to one BLAS thread, on one CPU in-process
+    # and on every CPU in forked workers; unpinned, OpenBLAS splits the sums
+    # by its thread count and the 12th digit moves.
+    root = Path(__file__).resolve().parents[1]
+    runs = [subprocess.run([sys.executable, "-c", NULL_BYTES, cpus], cwd=root, capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": "src"}, check=True, timeout=300).stdout
+            for cpus in ("one", "all")]
+    assert len(runs[0].strip()) == 4 * 16 and runs[0] == runs[1]
+
+
+def test_wcss_curve_matches_the_serial_comprehension(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    points = four_blobs(n=150)
+    serial = np.array([spectral.best_kmeans(points, k, derive_seed(3, f"elbow:{k}")).wcss for k in range(1, 7)])
+    assert spectral.wcss_curve(points, 6, 3).tobytes() == serial.tobytes()
 
 
 # --- silhouette -------------------------------------------------------------
