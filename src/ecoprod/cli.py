@@ -28,7 +28,7 @@ import numpy as np
 from . import causal as causal_mod
 from . import dataset as ds
 from . import dea as dea_mod
-from . import gbm, spectral, svg, treeshap
+from . import gbm, parallel, spectral, svg, treeshap
 from .errors import ConfigError, DatasetError, EcoprodError, IngestionError, PipelineStageError
 from .seeding import derive_seed
 
@@ -219,13 +219,16 @@ def stage_cluster(
         curve = spectral.wcss_curve(embeddings, options.k_max, derive_seed(seed, "elbow"))
         k = spectral.elbow_from_curve(curve)
         wcss_report = {str(i + 1): float(w) for i, w in enumerate(curve)}
-    assignment, embedded = spectral.spectral_cluster(embeddings, k, derive_seed(seed, "cluster"))
+    # One BLAS thread, as the pooled loops use, so the observed clustering and
+    # its silhouette (s_obs) sum the same way on any number of CPUs.
+    with parallel.one_blas_thread():
+        assignment, embedded = spectral.spectral_cluster(embeddings, k, derive_seed(seed, "cluster"))
+        perm = spectral.permutation_test(
+            embeddings, k, options.permutations, derive_seed(seed, "perm"),
+            observed=(embedded, assignment.labels),
+        )
     if options.k is not None:
         wcss_report = {str(k): assignment.wcss}
-    perm = spectral.permutation_test(
-        embeddings, k, options.permutations, derive_seed(seed, "perm"),
-        observed=(embedded, assignment.labels),
-    )
     silhouette = perm.s_obs
     rates = spectral.coproduction_rate_by_cluster(
         assignment.labels, [c.response_label.value for c in complaints], k

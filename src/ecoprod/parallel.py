@@ -12,10 +12,13 @@ are pickled back to the caller.  Python 3.12 and later warn when a
 multi-threaded process forks, and OpenBLAS's threads count.
 
 A call runs in the calling process instead, pinned to one thread and
-restored afterwards, when it would have one worker or is made from inside a
-task; so no pool nests, and a task sums the same way wherever it runs.  If
-no OpenBLAS thread count is found, it runs in the calling process
-unpinned, so an unknown BLAS is never oversubscribed.
+restored afterwards by `one_blas_thread`, when it would have one worker or
+is made from inside a task; so no pool nests, and a task sums the same way
+wherever it runs.  If no OpenBLAS thread count is found, it runs in the
+calling process unpinned, so an unknown BLAS is never oversubscribed.
+`one_blas_thread` also serves work that stays in the calling process but
+must not depend on the CPU count, such as the cluster stage's observed
+clustering.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import logging
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterator, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +68,21 @@ def _pin_one_thread(counts: list[tuple[str, ctypes.c_int]]) -> None:
         count.value = 1
 
 
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Pin every loaded OpenBLAS to one thread for the block, and restore
+    each library's thread count after it, also on raise.  Sums then come out
+    the same on any number of CPUs."""
+    counts = openblas_thread_counts()
+    previous = [count.value for _, count in counts]
+    _pin_one_thread(counts)
+    try:
+        yield
+    finally:
+        for (_, count), value in zip(counts, previous):
+            count.value = value
+
+
 def _call(i: int):
     return _task(i)
 
@@ -87,11 +106,7 @@ def fork_map(task: Callable[[int], T], n: int) -> list[T]:
                 return list(pool.map(_call, range(n)))
             finally:
                 pool.shutdown(cancel_futures=True)
-        _pin_one_thread(counts)
-        try:
+        with one_blas_thread():
             return [task(i) for i in range(n)]
-        finally:
-            for (_, count), value in zip(counts, previous):
-                count.value = value
     finally:
         _task = outer

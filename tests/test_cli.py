@@ -2,9 +2,13 @@ import csv
 import inspect
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +359,32 @@ def test_cluster_stage_solves_the_observed_embedding_once(fixture_dir, tmp_path,
     monkeypatch.setattr(spectral, "spectral_embed", counting)
     cli.stage_cluster(fixture_dir / "complaints.jsonl", cli.ClusterOptions(k=3, permutations=4), 11, tmp_path)
     assert calls == [3] * (1 + 4)
+
+
+CLUSTER_RUNS = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {0})
+from ecoprod import cli
+fixture, out = sys.argv[2], sys.argv[3]
+for name, count in (("auto", ["--kmax", "6"]), ("fixed", ["--k", "3"])):
+    assert cli.main(["cluster", "--complaints", fixture + "/complaints.jsonl", "--out", out + "/" + name,
+                     *count, "--permutations", "9", "--seed", "11"]) == 0
+"""
+
+
+def test_cluster_outputs_do_not_depend_on_the_cpu_count(fixture_dir, tmp_path):
+    # OpenBLAS starts one thread per available CPU and splits its sums by
+    # thread count; the observed clustering, like the pooled loops, runs on
+    # one thread, so s_obs, silhouette and a fixed k's wcss_curve entry come
+    # out the same under one CPU as under all of them.
+    root = Path(__file__).resolve().parents[1]
+    for cpus in ("one", "all"):
+        subprocess.run([sys.executable, "-c", CLUSTER_RUNS, cpus, str(fixture_dir), str(tmp_path / cpus)],
+                       cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True, timeout=300)
+    for run in ("auto", "fixed"):
+        for name in ("cluster_report.json", "clusters.csv"):
+            assert (tmp_path / "one" / run / name).read_bytes() == (tmp_path / "all" / run / name).read_bytes(), name
 
 
 def test_unknown_covariate_flag_exits_2(fixture_dir, run_a, tmp_path, capsys):

@@ -1,16 +1,20 @@
+import logging
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
+from scipy.sparse import linalg as arpack
 from hypothesis import strategies as st
 
-from ecoprod import spectral
-from ecoprod.errors import ClusteringError, DegenerateSimilarityError, IsolatedVertexError
+from ecoprod import dataset, spectral
+from ecoprod.errors import ClusteringError, DegenerateSimilarityError, EigenSolverError, IsolatedVertexError
 from ecoprod.seeding import derive_seed
 
 from oracles import adjusted_rand_index, reference_kmeans, reference_silhouette
@@ -132,6 +136,136 @@ def test_embed_columns_orthonormal_before_row_normalization():
     # the embedding is those eigenvector rows scaled to unit length
     unit_rows = raw / np.linalg.norm(raw, axis=1)[:, None]
     assert np.abs(embedding) == pytest.approx(np.abs(unit_rows), abs=1e-10)
+
+
+def eigh_embedding(lap, k):
+    """The dense reference: `scipy.linalg.eigh`'s eigenvectors, rows scaled to unit length."""
+    _, vectors = scipy.linalg.eigh(lap.matrix, subset_by_index=(0, k - 1))
+    return vectors / np.linalg.norm(vectors, axis=1)[:, None]
+
+
+def synth_embeddings(n_provinces, n_complaints, n_clusters, dim, seed=11):
+    spec = dataset.SyntheticSpec(n_provinces=n_provinces, n_complaints=n_complaints, n_clusters=n_clusters,
+                                 embedding_dim=dim, seed=seed)
+    _, complaints, _ = dataset.generate_synthetic(spec)
+    return np.array([c.embedding for c in complaints])
+
+
+# Largest accepted difference between the silhouettes of the Lanczos and the
+# dense embeddings of one observed clustering.
+S_OBS_TOLERANCE = 1e-9
+
+
+@pytest.mark.parametrize("shape,k", [
+    pytest.param((14, 160, 3, 12), 3, id="tests' fixture, planted k"),
+    pytest.param((14, 160, 3, 12), 6, id="tests' fixture, k_max"),
+    pytest.param((27, 1200, 8, 128), 8, id="1200 rows, planted k"),
+    pytest.param((27, 1200, 8, 128), 12, id="1200 rows, k_max"),
+])
+def test_lanczos_clusters_as_the_dense_reference_does(shape, k):
+    lap = spectral.normalized_laplacian(spectral.similarity(synth_embeddings(*shape)))
+    lanczos, dense = spectral.spectral_embed(lap, k), eigh_embedding(lap, k)
+    got, want = spectral.best_kmeans(lanczos, k, 7), spectral.best_kmeans(dense, k, 7)
+    assert np.array_equal(got.labels, want.labels)
+    s_lanczos = spectral.silhouette_score(lanczos, got.labels)
+    assert abs(s_lanczos - spectral.silhouette_score(dense, want.labels)) <= S_OBS_TOLERANCE
+
+
+def small_laplacian(n=60, seed=27):
+    return spectral.normalized_laplacian(spectral.similarity(four_blobs(n=n, seed=seed)))
+
+
+def test_lanczos_that_does_not_converge_falls_back_to_the_dense_solver(monkeypatch, caplog):
+    def no_convergence(*args, **kwargs):
+        raise arpack.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((60, 0)))
+
+    lap = small_laplacian()
+    monkeypatch.setattr(arpack, "eigsh", no_convergence)
+    with caplog.at_level(logging.DEBUG, logger="ecoprod.spectral"):
+        embedding = spectral.spectral_embed(lap, 4)
+    assert embedding.tobytes() == eigh_embedding(lap, 4).tobytes()
+    assert caplog.messages[-1].startswith("eigensolve n=60 k=4: eigh (ARPACK failed after 0 matvecs: ")
+
+
+def test_lanczos_above_the_residual_bound_falls_back_to_the_dense_solver(monkeypatch, caplog):
+    solve = arpack.eigsh
+
+    def perturbed(*args, **kwargs):
+        mu, vectors = solve(*args, **kwargs)
+        vectors[0, 1] += 1e-8
+        return mu, vectors
+
+    lap = small_laplacian()
+    monkeypatch.setattr(arpack, "eigsh", perturbed)
+    with caplog.at_level(logging.DEBUG, logger="ecoprod.spectral"):
+        embedding = spectral.spectral_embed(lap, 4)
+    assert embedding.tobytes() == eigh_embedding(lap, 4).tobytes()
+    message = caplog.messages[-1]
+    assert re.fullmatch(r"eigensolve n=60 k=4: eigh \(Lanczos residual \S+ above 1e-10 after \d+ matvecs\), "
+                        r"max residual \S+", message), message
+
+
+def test_k_of_n_minus_one_goes_to_the_dense_solver(monkeypatch, caplog):
+    monkeypatch.setattr(arpack, "eigsh", None)  # never reached
+    lap = small_laplacian(n=6)
+    with caplog.at_level(logging.DEBUG, logger="ecoprod.spectral"):
+        for k in (5, 6):
+            assert spectral.spectral_embed(lap, k).tobytes() == eigh_embedding(lap, k).tobytes()
+    assert [m.split(", max residual ")[0] for m in caplog.messages] == [
+        "eigensolve n=6 k=5: eigh (k=5 >= n - 1)", "eigensolve n=6 k=6: eigh (k=6 >= n - 1)"]
+
+
+def test_a_dense_failure_after_lanczos_fails_is_an_eigensolver_error(monkeypatch):
+    def fails(*args, **kwargs):
+        raise arpack.ArpackError(-9999)
+
+    def dense_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(arpack, "eigsh", fails)
+    monkeypatch.setattr(scipy.linalg, "eigh", dense_fails)
+    with pytest.raises(EigenSolverError, match="did not converge"):
+        spectral.spectral_embed(small_laplacian(), 4)
+
+
+def test_each_lanczos_solve_logs_its_matvecs_and_residual(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ecoprod.spectral"):
+        spectral.spectral_embed(small_laplacian(), 4)
+    (message,) = caplog.messages
+    match = re.fullmatch(r"eigensolve n=60 k=4: lanczos, (\d+) matvecs, max residual (\S+)", message)
+    assert match and int(match[1]) > 4 and float(match[2]) <= spectral.RESIDUAL_BOUND
+
+
+ARPACK_LOADS = """
+import sys
+import numpy as np
+from ecoprod import cli, spectral
+loaded = [name for name in sys.modules if name.startswith("scipy.sparse")]
+spectral.spectral_embed(spectral.normalized_laplacian(spectral.similarity(np.eye(6))), 2)
+print(loaded == [], "scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_only_an_eigensolve_loads_arpack():
+    # A run without a spectral stage, such as the causal stage alone, keeps
+    # ARPACK's few MB of memory off its peak.
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", ARPACK_LOADS], cwd=root, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": "src"}, check=True, timeout=300)
+    assert run.stdout.split() == ["True", "True"]
+
+
+def test_lanczos_allocates_less_than_one_copy_of_the_laplacian():
+    # 2I - L is applied, never built: one n x n float64 more would be 8 MB here.
+    n = 1000
+    lap = spectral.normalized_laplacian(spectral.similarity(four_blobs(n=n, seed=28)))
+    tracemalloc.start()
+    try:
+        spectral.spectral_embed(lap, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 # --- k-means ----------------------------------------------------------------
