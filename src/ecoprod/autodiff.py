@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 The operation set is exactly what the latent-variable networks in
-`ecoprod.causal` need: matmul, bias add, a few activations, concat/slice,
-reductions, elementwise arithmetic, the Gaussian reparameterization trick,
+`ecoprod.causal` need: matmul, bias add, a few activations, column slices,
+sums, elementwise arithmetic, the Gaussian reparameterization trick,
 a diagonal-Gaussian KL term, and Bernoulli/Gaussian log-likelihoods.
 
 Ops executed inside a ``with Tape() as tape:`` block are recorded; calling
@@ -123,31 +123,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record((x,), out, lambda g: (g * value * (1.0 - value),))
 
 
-def softplus(x: Tensor) -> Tensor:
-    # log(1 + e^x) computed stably for large |x|.
-    value = np.logaddexp(0.0, x.data)
-    out = Tensor(value)
-    return _record((x,), out, lambda g: (g / (1.0 + np.exp(-x.data)),))
-
-
-def concat(tensors: list[Tensor]) -> Tensor:
-    if not tensors:
-        raise EcoprodError("concat of nothing")
-    if any(t.data.ndim != 2 for t in tensors):
-        raise EcoprodError("concat expects 2-d tensors")
-    rows = tensors[0].shape[0]
-    if any(t.shape[0] != rows for t in tensors):
-        raise EcoprodError("concat row counts differ")
-    widths = [t.shape[1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=1))
-    splits = np.cumsum(widths)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=1))
-
-    return _record(tuple(tensors), out, backward)
-
-
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2 or not 0 <= start < stop <= x.shape[1]:
         raise EcoprodError(f"slice_cols: [{start}:{stop}] invalid for shape {x.shape}")
@@ -182,12 +157,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, factor: float) -> Tensor:
     out = Tensor(x.data * factor)
     return _record((x,), out, lambda g: (g * factor,))
-
-
-def mean(x: Tensor) -> Tensor:
-    out = Tensor(np.mean(x.data))
-    size = x.data.size
-    return _record((x,), out, lambda g: (np.full_like(x.data, float(g) / size),))
 
 
 def total(x: Tensor) -> Tensor:

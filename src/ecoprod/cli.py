@@ -3,7 +3,9 @@
 Every stage is runnable standalone given its inputs; the `pipeline` command
 chains them with per-stage seeds derived from one master seed (see
 `ecoprod.seeding`), so running a stage manually with the derived seed
-reproduces the pipeline's artifact byte for byte.
+reproduces the pipeline's artifact byte for byte.  Every command runs with
+OpenBLAS pinned to one thread (see `ecoprod.parallel`), so its artifacts
+are the same on one CPU or on all.
 
 Exit codes: 0 success, 1 stage/computation failure, 2 configuration or
 input error.  A failed pipeline leaves its partial outputs plus a `FAILED`
@@ -219,14 +221,11 @@ def stage_cluster(
         curve = spectral.wcss_curve(embeddings, options.k_max, derive_seed(seed, "elbow"))
         k = spectral.elbow_from_curve(curve)
         wcss_report = {str(i + 1): float(w) for i, w in enumerate(curve)}
-    # One BLAS thread, as the pooled loops use, so the observed clustering and
-    # its silhouette (s_obs) sum the same way on any number of CPUs.
-    with parallel.one_blas_thread():
-        assignment, embedded = spectral.spectral_cluster(embeddings, k, derive_seed(seed, "cluster"))
-        perm = spectral.permutation_test(
-            embeddings, k, options.permutations, derive_seed(seed, "perm"),
-            observed=(embedded, assignment.labels),
-        )
+    assignment, embedded = spectral.spectral_cluster(embeddings, k, derive_seed(seed, "cluster"))
+    perm = spectral.permutation_test(
+        embeddings, k, options.permutations, derive_seed(seed, "perm"),
+        observed=(embedded, assignment.labels),
+    )
     if options.k is not None:
         wcss_report = {str(k): assignment.wcss}
     silhouette = perm.s_obs
@@ -819,7 +818,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _dispatch(args)
+        with parallel.one_blas_thread():
+            return _dispatch(args)
     except ConfigError as exc:
         print(f"ecoprod: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

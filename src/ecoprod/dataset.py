@@ -303,12 +303,14 @@ def load_complaints(path: str | Path) -> list[ComplaintRecord]:
     the file, the 1-based line and the field.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"complaint file not found: {path}")
     records: list[ComplaintRecord] = []
     id_lines: dict[int, int] = {}
     embedding_dim = None
-    with path.open("rb") as handle:
+    try:
+        handle = path.open("rb")  # read line by line: a whole-file read would raise peak RSS
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read ({exc.strerror})") from None
+    with handle:
         for line_number, raw in enumerate(handle, start=1):
             where = f"{path}: line {line_number}"
             try:

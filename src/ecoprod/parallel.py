@@ -1,24 +1,25 @@
 """One process pool for the package: `fork_map(task, n)` is
 `[task(i) for i in range(n)]`, run on forked workers.
 
-There is one worker per available CPU, `len(os.sched_getaffinity(0))`
-capped at n, so `taskset -c 0` gives a serial run.  Every worker pins each
-loaded OpenBLAS to one thread: on two CPUs, two workers of two threads
-each ran the permutation null more than four times slower than one serial
-process.  A task must depend only on its index: it reaches the workers
-through fork, not pickling, and shared mutable state, such as a call
-counter, is not carried back.  A task's result and any exception it raises
-are pickled back to the caller.  Python 3.12 and later warn when a
-multi-threaded process forks, and OpenBLAS's threads count.
+Every loaded OpenBLAS runs on one thread, so every sum comes out the same
+on one CPU or on all: `cli.main` runs each command inside
+`one_blas_thread`, and `fork_map` pins the calling process with it before
+it forks, so its workers inherit the pin and do not oversubscribe (on two
+CPUs, two workers of two threads each ran the permutation null more than
+four times slower than one serial process).
 
-A call runs in the calling process instead, pinned to one thread and
-restored afterwards by `one_blas_thread`, when it would have one worker or
-is made from inside a task; so no pool nests, and a task sums the same way
-wherever it runs.  If no OpenBLAS thread count is found, it runs in the
-calling process unpinned, so an unknown BLAS is never oversubscribed.
-`one_blas_thread` also serves work that stays in the calling process but
-must not depend on the CPU count, such as the cluster stage's observed
-clustering.
+There is one worker per available CPU, `len(os.sched_getaffinity(0))`
+capped at n, so `taskset -c 0` gives a serial run.  A task must depend
+only on its index: it reaches the workers through fork, not pickling, and
+shared mutable state, such as a call counter, is not carried back.  A
+task's result and any exception it raises are pickled back to the caller.
+Python 3.12 and later warn when a multi-threaded process forks, and
+OpenBLAS's threads count.
+
+A call runs in the calling process instead when it would have one worker
+or is made from inside a task, so no pool nests.  If no OpenBLAS thread
+count is found, it runs there unpinned, so an unknown BLAS is never
+oversubscribed.
 """
 
 from __future__ import annotations
@@ -63,21 +64,18 @@ def openblas_thread_counts() -> list[tuple[str, ctypes.c_int]]:
     return counts
 
 
-def _pin_one_thread(counts: list[tuple[str, ctypes.c_int]]) -> None:
-    for _, count in counts:
-        count.value = 1
-
-
 @contextmanager
-def one_blas_thread() -> Iterator[None]:
+def one_blas_thread() -> Iterator[list[tuple[str, int]]]:
     """Pin every loaded OpenBLAS to one thread for the block, and restore
     each library's thread count after it, also on raise.  Sums then come out
-    the same on any number of CPUs."""
+    the same on any number of CPUs.  Yields each library's file name and
+    its thread count before the pin."""
     counts = openblas_thread_counts()
     previous = [count.value for _, count in counts]
-    _pin_one_thread(counts)
+    for _, count in counts:
+        count.value = 1
     try:
-        yield
+        yield [(name, value) for (name, _), value in zip(counts, previous)]
     finally:
         for (_, count), value in zip(counts, previous):
             count.value = value
@@ -88,25 +86,22 @@ def _call(i: int):
 
 
 def fork_map(task: Callable[[int], T], n: int) -> list[T]:
-    """[task(i) for i in range(n)], on forked workers pinned to one BLAS
-    thread each (see the module docstring)."""
+    """[task(i) for i in range(n)], on forked workers that inherit this
+    process's pin to one BLAS thread (see the module docstring)."""
     global _task
-    counts = openblas_thread_counts()
-    workers = min(len(os.sched_getaffinity(0)), n) if counts and _task is None else 1
-    previous = [count.value for _, count in counts]
-    pins = ", ".join(f"{name} (was {value})" for (name, _), value in zip(counts, previous))
-    logger.debug("%d tasks on %d worker(s)%s; %s", n, workers, "" if workers > 1 else " in-process",
-                 f"OpenBLAS pinned to 1 thread: {pins}" if pins else "no OpenBLAS found, unpinned")
-    outer, _task = _task, task
-    try:
-        if workers > 1:
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_pin_one_thread, initargs=(counts,))
+    with one_blas_thread() as previous:
+        workers = min(len(os.sched_getaffinity(0)), n) if previous and _task is None else 1
+        pins = ", ".join(f"{name} (was {value})" for name, value in previous)
+        logger.debug("%d tasks on %d worker(s)%s; %s", n, workers, "" if workers > 1 else " in-process",
+                     f"OpenBLAS pinned to 1 thread: {pins}" if pins else "no OpenBLAS found, unpinned")
+        outer, _task = _task, task
+        try:
+            if workers == 1:
+                return [task(i) for i in range(n)]
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
                 return list(pool.map(_call, range(n)))
             finally:
                 pool.shutdown(cancel_futures=True)
-        with one_blas_thread():
-            return [task(i) for i in range(n)]
-    finally:
-        _task = outer
+        finally:
+            _task = outer

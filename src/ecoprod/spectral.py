@@ -22,8 +22,7 @@ seeding and `parallel`.
 The k values of the elbow curve and the shuffled replicates of the
 permutation test are independent and seeded by their index, so they run
 through `parallel.fork_map`: on one forked worker per available CPU, each
-pinned to one BLAS thread.  The observed clustering stays in the calling
-process; the cluster stage runs it under `parallel.one_blas_thread`.
+on one BLAS thread.  The observed clustering stays in the calling process.
 """
 
 from __future__ import annotations

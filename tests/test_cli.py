@@ -361,29 +361,33 @@ def test_cluster_stage_solves_the_observed_embedding_once(fixture_dir, tmp_path,
     assert calls == [3] * (1 + 4)
 
 
-CLUSTER_RUNS = """
+CPU_RUNS = """
 import os, sys
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {0})
 from ecoprod import cli
-fixture, out = sys.argv[2], sys.argv[3]
+fixture, out, config = sys.argv[2:]
 for name, count in (("auto", ["--kmax", "6"]), ("fixed", ["--k", "3"])):
     assert cli.main(["cluster", "--complaints", fixture + "/complaints.jsonl", "--out", out + "/" + name,
                      *count, "--permutations", "9", "--seed", "11"]) == 0
+assert cli.main(["pipeline", "--config", config]) == 0
 """
 
 
 def test_cluster_outputs_do_not_depend_on_the_cpu_count(fixture_dir, tmp_path):
     # OpenBLAS starts one thread per available CPU and splits its sums by
-    # thread count; the observed clustering, like the pooled loops, runs on
-    # one thread, so s_obs, silhouette and a fixed k's wcss_curve entry come
-    # out the same under one CPU as under all of them.
+    # thread count; every command runs on one thread, so every artifact
+    # comes out the same under one CPU as under all of them.
     root = Path(__file__).resolve().parents[1]
     for cpus in ("one", "all"):
-        subprocess.run([sys.executable, "-c", CLUSTER_RUNS, cpus, str(fixture_dir), str(tmp_path / cpus)],
+        config = fixture_dir / f"config_{cpus}_cpus.json"
+        config.write_text(json.dumps(small_config(str(tmp_path / cpus / "pipeline"))))
+        subprocess.run([sys.executable, "-c", CPU_RUNS, cpus, str(fixture_dir), str(tmp_path / cpus), str(config)],
                        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True, timeout=300)
-    for run in ("auto", "fixed"):
-        for name in ("cluster_report.json", "clusters.csv"):
+    for run in ("auto", "fixed", "pipeline"):
+        names = sorted(path.name for path in (tmp_path / "one" / run).iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "all" / run).iterdir())
+        for name in names:
             assert (tmp_path / "one" / run / name).read_bytes() == (tmp_path / "all" / run / name).read_bytes(), name
 
 

@@ -150,6 +150,15 @@ def test_non_utf8_byte_names_file_and_line(tmp_path, name):
     assert f"line {2 if name == 'complaints.jsonl' else 3}:" in str(caught.value)
 
 
+@pytest.mark.parametrize("load", [ds.load_provinces, ds.load_complaints])
+@pytest.mark.parametrize("name, reason", [(".", "Is a directory"), ("absent", "No such file or directory")])
+def test_unreadable_path_is_an_ingestion_error_naming_it(tmp_path, load, name, reason):
+    path = tmp_path / name
+    with pytest.raises(IngestionError) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: cannot read ({reason})"
+
+
 def test_load_complaints_unknown_label(tmp_path):
     line = {"id": 1, "province_id": 1, "embedding": [0.1], "sentiment": 0.0,
             "attention": 0, "label": 2}

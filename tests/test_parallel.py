@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 import ecoprod.spectral  # noqa: F401 - loads scipy's OpenBLAS beside numpy's
-from ecoprod import errors, parallel
+from ecoprod import cli, dea, errors, parallel
 from ecoprod.errors import ClusteringError, PipelineStageError, TrainingDivergenceError
 
 from test_causal import use_cpus
@@ -105,6 +105,31 @@ def test_without_openblas_the_tasks_run_in_process(monkeypatch):
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(parallel, "openblas_thread_counts", lambda: [])
     assert parallel.fork_map(lambda i: os.getpid(), 3) == [os.getpid()] * 3
+
+
+def test_a_command_runs_on_one_thread_and_restores_the_counts_on_return(tmp_path, monkeypatch, two_parent_threads):
+    (tmp_path / "provinces.csv").write_text("id,name,in1,in2,gdp_output\n1,A,2,3,10\n2,B,4,1,8\n3,C,4,4,6\n4,D,6,5,7\n")
+    args = ["dea", "--provinces", str(tmp_path / "provinces.csv"), "--out", str(tmp_path / "out")]
+    seen = []
+    original = dea.dea_scores
+
+    def recording(*a, **kw):
+        seen.append(thread_counts())
+        return original(*a, **kw)
+
+    monkeypatch.setattr(dea, "dea_scores", recording)
+    assert cli.main(args) == 0
+    assert seen == [[1, 1], [1, 1]]
+    assert thread_counts() == [2, 2]
+
+    def fails(*a, **kw):
+        seen.append(thread_counts())
+        raise ClusteringError("a stage failure")
+
+    monkeypatch.setattr(dea, "dea_scores", fails)
+    assert cli.main(args) == 1
+    assert seen[-1] == [1, 1]
+    assert thread_counts() == [2, 2]
 
 
 def test_each_call_logs_its_tasks_workers_and_pins(monkeypatch, caplog, two_parent_threads):
