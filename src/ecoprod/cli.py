@@ -15,7 +15,6 @@ marker file naming the stage.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -31,7 +30,7 @@ from . import causal as causal_mod
 from . import dataset as ds
 from . import dea as dea_mod
 from . import gbm, parallel, spectral, svg, treeshap
-from .errors import ConfigError, DatasetError, EcoprodError, IngestionError, PipelineStageError
+from .errors import ConfigError, EcoprodError, IngestionError, PipelineStageError
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -52,19 +51,6 @@ def _make_dir(path: Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path} ({exc.strerror})") from None
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None:
@@ -168,7 +154,7 @@ def stage_dea(provinces_path: Path, out_dir: Path) -> dict:
     vrs = dea_mod.dea_scores(panel, dea_mod.DeaOptions(rts=dea_mod.ReturnsToScale.VRS))
     groups = dea_mod.split_by_median(vrs)
     _make_dir(out_dir)
-    _write_csv(
+    ds.write_csv(
         out_dir / "dea_scores.csv", ["id", "theta_crs", "theta_vrs", "group"],
         ([unit_id, repr(float(crs.theta[i])), repr(float(vrs.theta[i])), groups[i].value]
          for i, unit_id in enumerate(panel.unit_ids)),
@@ -240,8 +226,8 @@ def stage_cluster(
         # string keys, so that sort_keys orders cluster 10 after cluster 1
         shifts_report = {str(cluster): distance for cluster, distance in shifts.items()}
 
-    _write_csv(out_dir / "clusters.csv", ["complaint_id", "cluster"],
-               ([c.id, int(label)] for c, label in zip(complaints, assignment.labels)))
+    ds.write_csv(out_dir / "clusters.csv", ["complaint_id", "cluster"],
+                 ([c.id, int(label)] for c, label in zip(complaints, assignment.labels)))
 
     report = {
         "k": k,
@@ -257,7 +243,7 @@ def stage_cluster(
         "coproduction_rates": rates,
         "centroid_shift_distances": shifts_report,
     }
-    _write_json(out_dir / "cluster_report.json", report)
+    ds.write_json(out_dir / "cluster_report.json", report)
 
     projection = svg.pca_2d(embeddings)
     (out_dir / "clusters.svg").write_text(
@@ -292,7 +278,7 @@ def stage_train(
     cv = gbm.cross_validate(matrix.rows, target, config)
     model = gbm.train_classifier(matrix.rows, target, config, feature_names=matrix.columns)
     gbm.save_model(model, out_dir / "model.json")
-    _write_json(
+    ds.write_json(
         out_dir / "cv_report.json",
         {
             "fold_accuracies": list(cv.fold_accuracies),
@@ -332,7 +318,7 @@ def stage_explain(
     margins = gbm.predict_margin(model, matrix.rows)
     probabilities = gbm.predict_proba(model, matrix.rows)
 
-    _write_csv(
+    ds.write_csv(
         out_dir / "shap.csv", ["complaint_id", "base", "margin", *(f"phi_{c}" for c in matrix.columns)],
         ([complaint.id, repr(shap.base), repr(float(margin)), *map(repr, phi)]
          for complaint, margin, phi in zip(complaints, margins, shap.phi.tolist())),
@@ -380,7 +366,7 @@ def stage_explain(
             encoding="utf-8",
         )
         artifacts.append(name)
-    _write_json(out_dir / "archetype_report.json", archetype_report)
+    ds.write_json(out_dir / "archetype_report.json", archetype_report)
     return {
         "artifacts": sorted(artifacts),
         "top_feature": summary.ranking[0][0],
@@ -465,7 +451,7 @@ def stage_causal(
     report["n_rows"] = data.n
     report["unit"] = options.unit
     report["covariates"] = list(options.covariates)
-    _write_json(out_dir / "ate_report.json", report)
+    ds.write_json(out_dir / "ate_report.json", report)
     methods_only = {m: report[m] for m in options.methods}
     return {"artifacts": ["ate_report.json"], "estimates": methods_only}
 
@@ -625,7 +611,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         logger.info("stage %s: finished in %.2f s", stage, time.perf_counter() - started)
 
     summary["artifacts"] = sorted(name for stage in summary["stages"].values() for name in stage["artifacts"])
-    _write_json(out / "summary.json", summary)
+    ds.write_json(out / "summary.json", summary)
     return summary
 
 
@@ -641,23 +627,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log solver and stage details")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags of the option sets default to None, so only what the user sets
+    # reaches `_options`; the defaults live in the dataclasses.
     synth = sub.add_parser("synth", help="write a synthetic fixture with planted ground truth")
     synth.add_argument("--out", required=True)
-    synth.add_argument("--provinces", type=int, default=27)
-    synth.add_argument("--complaints", type=int, default=4221)
-    synth.add_argument("--clusters", type=int, default=8)
-    synth.add_argument("--embedding-dim", type=int, default=ds.DEFAULT_EMBEDDING_DIM)
-    synth.add_argument("--true-ate", type=float, default=0.24)
-    synth.add_argument("--confounding", type=float, default=1.0)
-    synth.add_argument("--separation", type=float, default=8.0)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--provinces", dest="n_provinces", type=int)
+    synth.add_argument("--complaints", dest="n_complaints", type=int)
+    synth.add_argument("--clusters", dest="n_clusters", type=int)
+    synth.add_argument("--embedding-dim", type=int)
+    synth.add_argument("--true-ate", type=float)
+    synth.add_argument("--confounding", dest="confounding_strength", type=float)
+    synth.add_argument("--separation", dest="cluster_separation", type=float)
+    synth.add_argument("--seed", type=int)
 
     dea_cmd = sub.add_parser("dea", help="score provinces and write dea_scores.csv")
     dea_cmd.add_argument("--provinces", required=True)
     dea_cmd.add_argument("--out", required=True)
 
-    # Flags of the option sets default to None, so only what the user sets
-    # reaches `_options`; the defaults live in the dataclasses.
     cluster_cmd = sub.add_parser("cluster", help="spectral-cluster complaints")
     cluster_cmd.add_argument("--complaints", required=True)
     cluster_cmd.add_argument("--out", required=True)
@@ -728,19 +714,7 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
-        try:
-            spec = ds.SyntheticSpec(
-                n_provinces=args.provinces,
-                n_complaints=args.complaints,
-                n_clusters=args.clusters,
-                embedding_dim=args.embedding_dim,
-                true_ate=args.true_ate,
-                confounding_strength=args.confounding,
-                cluster_separation=args.separation,
-                seed=args.seed,
-            )
-        except DatasetError as exc:  # bad flag values are configuration errors
-            raise ConfigError(str(exc)) from exc
+        spec = _options(ds.SyntheticSpec, _given(args, *(f.name for f in fields(ds.SyntheticSpec))), "")
         stage_synth(spec, Path(args.out))
         return EXIT_OK
 
@@ -751,9 +725,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "cluster":
         options = _options(ClusterOptions, _given(args, "k", "k_max", "permutations"), "cluster")
         groups = None
+        if bool(args.dea_scores) != bool(args.provinces):
+            raise ConfigError("--provinces and --dea-scores are joined for the centroid shifts: give both or neither")
         if args.dea_scores:
-            if not args.provinces:
-                raise ConfigError("--dea-scores needs --provinces for the join")
             groups = _province_groups(_require_file(args.provinces), _require_file(args.dea_scores))
         stage_cluster(_require_file(args.complaints), options, args.seed, Path(args.out),
                       province_groups=groups)

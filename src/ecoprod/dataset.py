@@ -33,8 +33,6 @@ import numpy as np
 from .dea import EcoGroup, split_by_median
 from .errors import DatasetError, FeatureError, IngestionError
 
-DEFAULT_EMBEDDING_DIM = 768
-
 
 class ResponseLabel(Enum):
     CO_PRODUCTION = 1
@@ -180,6 +178,21 @@ def read_table(
     return table
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """The one CSV writer: `header`, then each row of `rows`, "\n"-terminated."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """The one JSON artifact writer: indented by 2, keys sorted, a final newline."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def checked(parse: typing.Callable[[str], typing.Any], check: typing.Callable[[typing.Any], bool]):
     """A cell parser: `parse`, then a ValueError unless `check` holds."""
     def parsed(raw: str):
@@ -235,19 +248,11 @@ def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema
 
 def write_provinces(path: str | Path, records: list[ProvinceRecord], schema: ColumnSchema) -> None:
     """Write records in schema order; floats use shortest round-trip form."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(schema.header())
-        for record in records:
-            writer.writerow(
-                [
-                    record.id,
-                    record.name,
-                    *(repr(v) for v in record.env_inputs.tolist()),
-                    repr(record.gdp_output),
-                    *(repr(record.fiscal_features[c]) for c in schema.fiscal_columns),
-                ]
-            )
+    write_csv(path, schema.header(), (
+        [record.id, record.name, *map(repr, record.env_inputs.tolist()), repr(record.gdp_output),
+         *(repr(record.fiscal_features[c]) for c in schema.fiscal_columns)]
+        for record in records
+    ))
 
 
 _COMPLAINT_KEYS = ("id", "province_id", "embedding", "sentiment", "attention", "label")
@@ -466,7 +471,7 @@ class SyntheticSpec:
     n_provinces: int = 27
     n_complaints: int = 4221
     n_clusters: int = 8
-    embedding_dim: int = DEFAULT_EMBEDDING_DIM
+    embedding_dim: int = 768
     true_ate: float = 0.24
     confounding_strength: float = 1.0
     seed: int = 0
@@ -662,6 +667,4 @@ def generate_synthetic(
 
 
 def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(truth.to_json(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, truth.to_json())

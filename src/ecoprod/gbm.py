@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import finite_number, read_text
+from .dataset import finite_number, read_text, write_json
 from .errors import ConfigError, DegenerateSplitError, TrainingError
 from .seeding import derive_seed
 from .spectral import kmeans
@@ -298,6 +298,32 @@ def _validate_inputs(x_matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, n
     return x_matrix, y
 
 
+def _boost(x_matrix: np.ndarray, y: np.ndarray, config: TrainConfig, model: BoostedModel) -> BoostedModel:
+    """Grow `config.rounds` trees into `model` from its base score.  Each
+    round's prediction p is the margin itself (squared objective) or its
+    logistic, found once per round: g = p - y, and h = p(1 - p) or 1.  A
+    logistic model records the loss after each round in `training_loss`."""
+    n = x_matrix.shape[0]
+    logistic = model.objective == "logistic"
+    data = _Presorted(x_matrix, config.min_child_cover)
+    margins = np.full(n, model.base_score)
+    p = 1.0 / (1.0 + np.exp(-margins)) if logistic else margins
+    h = np.ones(n)
+    for _ in range(config.rounds):
+        g = p - y
+        if logistic:
+            h = p * (1.0 - p)
+        update = np.zeros(n)
+        model.trees.append(_grow_tree(data, data.rows, data.block, data.root, g, h, config, 0, update))
+        margins = margins + config.eta * update
+        if logistic:
+            p = 1.0 / (1.0 + np.exp(-margins))
+            model.training_loss.append(_logistic_loss(y, p))
+        else:
+            p = margins
+    return model
+
+
 def train_classifier(
     x_matrix: np.ndarray,
     y: np.ndarray,
@@ -314,45 +340,21 @@ def train_classifier(
         raise TrainingError("single-class target: nothing to separate")
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(x_matrix.shape[1]))
-
     model = BoostedModel(
         trees=[], eta=config.eta, base_score=0.0, feature_names=tuple(feature_names),
         objective="logistic",
     )
-    n = x_matrix.shape[0]
-    data = _Presorted(x_matrix, config.min_child_cover)
-    margins = np.full(n, model.base_score)
-    p = 1.0 / (1.0 + np.exp(-margins))
-    for _ in range(config.rounds):
-        g = p - y
-        h = p * (1.0 - p)
-        update = np.zeros(n)
-        tree = _grow_tree(data, data.rows, data.block, data.root, g, h, config, 0, update)
-        model.trees.append(tree)
-        margins = margins + config.eta * update
-        p = 1.0 / (1.0 + np.exp(-margins))
-        model.training_loss.append(_logistic_loss(y, p))
-    return model
+    return _boost(x_matrix, y, config, model)
 
 
 def train_regressor(x_matrix: np.ndarray, y: np.ndarray, config: TrainConfig) -> BoostedModel:
     """Boosted squared-loss regressor."""
     x_matrix, y = _validate_inputs(x_matrix, y)
-    n = x_matrix.shape[0]
     model = BoostedModel(
         trees=[], eta=config.eta, base_score=float(np.mean(y)),
         feature_names=tuple(f"f{j}" for j in range(x_matrix.shape[1])), objective="squared",
     )
-    data = _Presorted(x_matrix, config.min_child_cover)
-    preds = np.full(n, model.base_score)
-    h = np.ones(n)
-    for _ in range(config.rounds):
-        g = preds - y
-        update = np.zeros(n)
-        tree = _grow_tree(data, data.rows, data.block, data.root, g, h, config, 0, update)
-        model.trees.append(tree)
-        preds = preds + config.eta * update
-    return model
+    return _boost(x_matrix, y, config, model)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +472,7 @@ def model_from_json(obj) -> BoostedModel:
 
 
 def save_model(model: BoostedModel, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(model_to_json(model), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, model_to_json(model))
 
 
 def load_model(path: str | Path) -> BoostedModel:

@@ -16,10 +16,10 @@ task's result and any exception it raises are pickled back to the caller.
 Python 3.12 and later warn when a multi-threaded process forks, and
 OpenBLAS's threads count.
 
-A call runs in the calling process instead when it would have one worker
-or is made from inside a task, so no pool nests.  If no OpenBLAS thread
-count is found, it runs there unpinned, so an unknown BLAS is never
-oversubscribed.
+A call runs in the calling process instead when it would have at most one
+worker (n = 0 gives []) or is made from inside a task, so no pool nests.
+If no OpenBLAS thread count is found, it runs there unpinned, so an
+unknown BLAS is never oversubscribed.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def fork_map(task: Callable[[int], T], n: int) -> list[T]:
                      f"OpenBLAS pinned to 1 thread: {pins}" if pins else "no OpenBLAS found, unpinned")
         outer, _task = _task, task
         try:
-            if workers == 1:
+            if workers <= 1:
                 return [task(i) for i in range(n)]
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ecoprod import causal, cli, gbm, spectral, treeshap
+from ecoprod import dataset as ds
 from ecoprod.seeding import derive_seed
 
 from test_causal import use_cpus
@@ -59,6 +60,21 @@ def test_synth_rejects_zero_clusters(tmp_path, capsys):
     rc = cli.main(["synth", "--out", str(tmp_path), "--clusters", "0"])
     assert rc == 2
     assert "count" in capsys.readouterr().err
+
+
+def test_synth_without_flags_builds_the_default_spec(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "stage_synth", lambda spec, out_dir: calls.append((spec, out_dir)))
+    assert cli.main(["synth", "--out", str(tmp_path)]) == 0
+    assert calls == [(ds.SyntheticSpec(), tmp_path)]
+
+
+def test_cluster_provinces_without_dea_scores_is_a_config_error(fixture_dir, tmp_path, capsys):
+    rc = cli.main(["cluster", "--complaints", str(fixture_dir / "complaints.jsonl"),
+                   "--provinces", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "give both or neither" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_exits_2_naming_path(tmp_path, capsys):

@@ -5,6 +5,9 @@ process pool in `parallel`, which in turn needs nothing but the errors; and
 no module but `cli` itself reaches into `cli`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ecoprod"
@@ -26,6 +29,16 @@ def package_imports(path: Path) -> set[str]:
 
 def test_spectral_imports_only_errors_seeding_and_parallel():
     assert package_imports(SRC / "spectral.py") <= {"errors", "seeding", "parallel"}
+
+
+def test_importing_spectral_loads_only_errors_seeding_and_parallel():
+    """The package `__init__` imports nothing, so `import ecoprod.spectral`
+    loads no module of the package that spectral.py does not import."""
+    code = ("import sys, ecoprod.spectral\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('ecoprod.'))))")
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.split() == ["ecoprod.errors", "ecoprod.parallel", "ecoprod.seeding", "ecoprod.spectral"]
 
 
 def test_parallel_imports_only_errors():

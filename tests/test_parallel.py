@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 import ecoprod.spectral  # noqa: F401 - loads scipy's OpenBLAS beside numpy's
@@ -91,6 +92,13 @@ def test_one_worker_runs_in_process_pinned_and_restores_the_count(monkeypatch, t
     with pytest.raises(ClusteringError):
         parallel.fork_map(fails, 3)
     assert thread_counts() == [2, 2]
+
+
+def test_no_tasks_give_an_empty_list_without_a_pool(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    assert parallel.fork_map(lambda i: i, 0) == []
+    assert ecoprod.spectral.wcss_curve(np.zeros((4, 2)), 0, seed=0).shape == (0,)
+    assert multiprocessing.active_children() == []
 
 
 def test_a_call_inside_a_task_runs_in_that_task_process(monkeypatch):
