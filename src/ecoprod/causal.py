@@ -133,6 +133,8 @@ class AteEstimate:
 
 def percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]:
     """Percentile interval via order statistics (see module docstring)."""
+    if not 0.0 < level < 1.0:
+        raise CausalError("level must lie in (0, 1)")
     values = np.sort(np.asarray(values, dtype=np.float64))
     n = values.shape[0]
     alpha = 1.0 - level
@@ -148,7 +150,10 @@ def _bootstrap(
     raises an EcoprodError (a data-driven failure, such as a one-arm resample) is dropped and
     counted, and more than 10% failures aborts; any other exception is a bug and propagates.
     With `fork`, the replicates run through `parallel.fork_map`; results are collected by
-    index, and the failures are logged here in index order."""
+    index, and the failures are logged here in index order.  Fewer than
+    MIN_BOOTSTRAP replicates is a CausalError."""
+    if n_boot < MIN_BOOTSTRAP:
+        raise CausalError(f"need at least {MIN_BOOTSTRAP} bootstrap replicates")
 
     def run(b: int) -> tuple[float | None, str | None]:
         rng = np.random.default_rng(derive_seed(seed, f"bootstrap:{b}"))
@@ -187,10 +192,6 @@ def bootstrap_ci(
     worker count.  `estimator` must depend only on the resampled data:
     shared mutable state, such as a call counter, is not carried between
     workers."""
-    if n_boot < MIN_BOOTSTRAP:
-        raise CausalError(f"need at least {MIN_BOOTSTRAP} bootstrap replicates")
-    if not 0.0 < level < 1.0:
-        raise CausalError("level must lie in (0, 1)")
     resampled = lambda rng: estimator(data.subset(rng.integers(0, data.n, data.n)))  # noqa: E731
     return percentile_interval(_bootstrap(n_boot, seed, resampled, fork=True), level)
 

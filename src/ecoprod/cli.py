@@ -30,7 +30,7 @@ from . import causal as causal_mod
 from . import dataset as ds
 from . import dea as dea_mod
 from . import gbm, parallel, spectral, svg, treeshap
-from .errors import ConfigError, EcoprodError, IngestionError, PipelineStageError
+from .errors import ConfigError, EcoprodError, FeatureError, IngestionError, PipelineStageError
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -56,7 +56,7 @@ def _make_dir(path: Path) -> None:
 def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None:
     """A ConfigError naming causal.covariates for a name that neither a
     complaint nor the header of provinces.csv supplies."""
-    known = ds.feature_names(ds.load_provinces(provinces_path)[1])
+    known = ds.feature_names(ds.load_provinces(provinces_path).schema)
     unknown = [name for name in covariates if name not in known]
     if unknown:
         raise ConfigError(
@@ -65,65 +65,61 @@ def _check_covariates(covariates: tuple[str, ...], provinces_path: Path) -> None
         )
 
 
-# The columns of dea_scores.csv and clusters.csv that later stages read.
-SCORE_COLUMNS = {"id": int, "theta_vrs": ds.checked(float, lambda theta: 0 < theta <= 1), "group": dea_mod.EcoGroup}
+# The columns of dea_scores.csv and clusters.csv that later stages read; a
+# group reads as whether it is High.
+SCORE_COLUMNS = {"id": int, "theta_vrs": ds.checked(float, lambda theta: 0 < theta <= 1),
+                 "group": lambda group: dea_mod.EcoGroup(group) is dea_mod.EcoGroup.HIGH}
 CLUSTER_COLUMNS = {"complaint_id": int, "cluster": ds.checked(int, lambda cluster: cluster >= 0)}
 
 
-def _rows_for(keys: list, path: Path, parsers: dict) -> list[dict]:
-    """The row of the CSV file `path` for each of `keys`, found by its value
-    in the first column of `parsers`; a key no row has is an IngestionError
-    naming the file."""
+def _columns_for(keys: np.ndarray, path: Path, parsers: dict) -> dict[str, np.ndarray]:
+    """Each column of `parsers` in the CSV file `path`, with the value of
+    the row of each of `keys`, found by its value in the first column; a
+    key no row has is an IngestionError naming the file."""
     table = ds.read_table(path, parsers)
+    keys = keys.tolist()
     missing = [key for key in keys if key not in table]
     if missing:
         raise IngestionError(f"{path}: no row with {missing[0]} in column {next(iter(parsers))!r}")
-    return [table[key] for key in keys]
+    return {column: np.array([table[key][column] for key in keys]) for column in parsers}
 
 
-def _scored_provinces(provinces_path: Path, scores_path: Path) -> tuple[list[ds.ProvinceRecord], ds.ColumnSchema]:
-    """Each province of provinces.csv with its score and group from
-    dea_scores.csv, and the schema of provinces.csv."""
-    provinces, schema = ds.load_provinces(provinces_path)
-    scores = _rows_for([p.id for p in provinces], scores_path, SCORE_COLUMNS)
-    return [replace(p, eco_score=s["theta_vrs"], eco_group=s["group"]) for p, s in zip(provinces, scores)], schema
-
-
-def _province_groups(provinces_path: Path, scores_path: Path) -> dict[int, dea_mod.EcoGroup]:
-    """The group dea_scores.csv gives each province of provinces.csv."""
-    return {p.id: p.eco_group for p in _scored_provinces(provinces_path, scores_path)[0]}
-
-
-def _check_provinces(complaints: list[ds.ComplaintRecord], province_ids, complaints_path: Path) -> None:
-    """An IngestionError naming complaints.jsonl for a complaint whose
-    province_id is not in `province_ids`."""
-    stray = next((c for c in complaints if c.province_id not in province_ids), None)
-    if stray is not None:
-        raise IngestionError(f"{complaints_path}: complaint {stray.id} has province_id {stray.province_id}, "
-                             "which no province has")
+def _scored_provinces(
+    provinces_path: Path, scores_path: Path, complaints: ds.Complaints, complaints_path: Path
+) -> tuple[ds.Provinces, np.ndarray, np.ndarray]:
+    """The provinces of provinces.csv, the theta_vrs dea_scores.csv gives
+    each, and whether it gives the province of each of `complaints` the
+    High group.  A complaint of no province is an IngestionError naming
+    complaints.jsonl."""
+    provinces = ds.load_provinces(provinces_path)
+    scores = _columns_for(provinces.ids, scores_path, SCORE_COLUMNS)
+    try:
+        home = complaints.province_rows(provinces)
+    except FeatureError as exc:
+        raise IngestionError(f"{complaints_path}: {exc}") from None
+    return provinces, scores["theta_vrs"], scores["group"][home]
 
 
 def _load_inputs(
     provinces_path: Path, complaints_path: Path, scores_path: Path, clusters_path: Path
-) -> tuple[list[ds.ProvinceRecord], list[ds.ComplaintRecord], ds.ColumnSchema]:
-    """The joined inputs of train, explain and causal: each province of
-    provinces.csv with its score and group from dea_scores.csv, each
-    complaint of complaints.jsonl with its cluster from clusters.csv, and
-    the schema of provinces.csv."""
-    provinces, schema = _scored_provinces(provinces_path, scores_path)
+) -> tuple[ds.Provinces, ds.Complaints, np.ndarray, np.ndarray, np.ndarray]:
+    """The inputs of train, explain and causal: the provinces with the
+    theta_vrs of each, the complaints with the cluster clusters.csv gives
+    each, and whether each complaint's province is High (see
+    `_scored_provinces`)."""
     complaints = ds.load_complaints(complaints_path)
-    _check_provinces(complaints, {p.id for p in provinces}, complaints_path)
-    clusters = _rows_for([c.id for c in complaints], clusters_path, CLUSTER_COLUMNS)
-    return provinces, [replace(c, cluster_id=row["cluster"]) for c, row in zip(complaints, clusters)], schema
+    provinces, theta, treated = _scored_provinces(provinces_path, scores_path, complaints, complaints_path)
+    clusters = _columns_for(complaints.ids, clusters_path, CLUSTER_COLUMNS)["cluster"]
+    return provinces, complaints, theta, clusters, treated
 
 
 def _classifier_matrix(
-    provinces: list[ds.ProvinceRecord], complaints: list[ds.ComplaintRecord], schema: ds.ColumnSchema
+    provinces: ds.Provinces, complaints: ds.Complaints, theta: np.ndarray, clusters: np.ndarray
 ) -> ds.FeatureMatrix:
-    """The rows of train and explain: every feature of `schema` and one
-    indicator per cluster of the joined complaints."""
-    columns = ds.classifier_columns(schema, max(c.cluster_id for c in complaints) + 1)
-    return ds.build_feature_matrix(provinces, complaints, columns, schema)
+    """The rows of train and explain: every feature of the provinces'
+    schema and one indicator per cluster."""
+    columns = ds.classifier_columns(provinces.schema, int(clusters.max()) + 1)
+    return ds.build_feature_matrix(provinces, complaints, columns, theta, clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ def _classifier_matrix(
 def stage_synth(spec: ds.SyntheticSpec, out_dir: Path) -> dict:
     _make_dir(out_dir)
     provinces, complaints, truth = ds.generate_synthetic(spec)
-    ds.write_provinces(out_dir / "provinces.csv", provinces, ds.DEFAULT_SCHEMA)
+    ds.write_provinces(out_dir / "provinces.csv", provinces)
     ds.write_complaints(out_dir / "complaints.jsonl", complaints)
     ds.write_ground_truth(out_dir / "ground_truth.json", truth)
     return {
@@ -144,12 +140,9 @@ def stage_synth(spec: ds.SyntheticSpec, out_dir: Path) -> dict:
 
 
 def stage_dea(provinces_path: Path, out_dir: Path) -> dict:
-    provinces, _ = ds.load_provinces(provinces_path)
-    panel = dea_mod.DeaPanel(
-        inputs=np.column_stack([p.env_inputs for p in provinces]),
-        outputs=np.array([[p.gdp_output for p in provinces]]),
-        unit_ids=tuple(p.id for p in provinces),
-    )
+    provinces = ds.load_provinces(provinces_path)
+    panel = dea_mod.DeaPanel(inputs=provinces.env.T, outputs=provinces.gdp[None, :],
+                             unit_ids=tuple(provinces.ids.tolist()))
     crs = dea_mod.dea_scores(panel, dea_mod.DeaOptions(rts=dea_mod.ReturnsToScale.CRS))
     vrs = dea_mod.dea_scores(panel, dea_mod.DeaOptions(rts=dea_mod.ReturnsToScale.VRS))
     groups = dea_mod.split_by_median(vrs)
@@ -187,18 +180,17 @@ def stage_cluster(
     options: ClusterOptions,
     seed: int,
     out_dir: Path,
-    province_groups: dict[int, dea_mod.EcoGroup] | None = None,
+    scores: tuple[Path, Path] | None = None,  # provinces.csv and dea_scores.csv, for the centroid shifts
 ) -> dict:
     complaints = ds.load_complaints(complaints_path)
-    if province_groups is not None:
-        _check_provinces(complaints, province_groups, complaints_path)
+    is_high = None if scores is None else _scored_provinces(*scores, complaints, complaints_path)[2]
     # k-means cannot fill more clusters than there are complaints; say so
     # before the elbow curve spends a best-of-restarts run on every k.
     key, count = ("cluster.k", options.k) if options.k is not None else ("cluster.k_max", options.k_max)
-    if count > len(complaints):
-        raise ConfigError(f"{key} must be at most the {len(complaints)} complaints, got {count}")
+    if count > len(complaints.ids):
+        raise ConfigError(f"{key} must be at most the {len(complaints.ids)} complaints, got {count}")
     _make_dir(out_dir)
-    embeddings = np.array([c.embedding for c in complaints])
+    embeddings = complaints.embeddings
 
     wcss_report: dict[str, float]
     if options.k is not None:
@@ -215,19 +207,16 @@ def stage_cluster(
     if options.k is not None:
         wcss_report = {str(k): assignment.wcss}
     silhouette = perm.s_obs
-    rates = spectral.coproduction_rate_by_cluster(
-        assignment.labels, [c.response_label.value for c in complaints], k
-    )
+    rates = spectral.coproduction_rate_by_cluster(assignment.labels, complaints.labels, k)
 
     shifts_report = None
-    if province_groups is not None:
-        is_high = [province_groups[c.province_id] is dea_mod.EcoGroup.HIGH for c in complaints]
+    if is_high is not None:
         shifts = spectral.centroid_shift(embeddings, assignment.labels, is_high)
         # string keys, so that sort_keys orders cluster 10 after cluster 1
         shifts_report = {str(cluster): distance for cluster, distance in shifts.items()}
 
     ds.write_csv(out_dir / "clusters.csv", ["complaint_id", "cluster"],
-                 ([c.id, int(label)] for c, label in zip(complaints, assignment.labels)))
+                 zip(complaints.ids.tolist(), assignment.labels.tolist()))
 
     report = {
         "k": k,
@@ -272,7 +261,7 @@ def stage_train(
     config: gbm.TrainConfig,
     out_dir: Path,
 ) -> dict:
-    matrix = _classifier_matrix(*_load_inputs(provinces_path, complaints_path, scores_path, clusters_path))
+    matrix = _classifier_matrix(*_load_inputs(provinces_path, complaints_path, scores_path, clusters_path)[:4])
     _make_dir(out_dir)
     target = matrix.target.astype(np.float64)
     cv = gbm.cross_validate(matrix.rows, target, config)
@@ -307,8 +296,9 @@ def stage_explain(
     if archetype_input not in ("probs", "shap"):
         raise ConfigError(f"unknown archetype input {archetype_input!r}")
     model = gbm.load_model(model_path)
-    provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
-    matrix = _classifier_matrix(provinces, complaints, schema)
+    provinces, complaints, theta, clusters, _ = _load_inputs(provinces_path, complaints_path, scores_path,
+                                                             clusters_path)
+    matrix = _classifier_matrix(provinces, complaints, theta, clusters)
     _make_dir(out_dir)
     if tuple(matrix.columns) != model.feature_names:
         raise ConfigError("feature columns do not match the trained model")
@@ -320,8 +310,8 @@ def stage_explain(
 
     ds.write_csv(
         out_dir / "shap.csv", ["complaint_id", "base", "margin", *(f"phi_{c}" for c in matrix.columns)],
-        ([complaint.id, repr(shap.base), repr(float(margin)), *map(repr, phi)]
-         for complaint, margin, phi in zip(complaints, margins, shap.phi.tolist())),
+        ([complaint_id, repr(shap.base), repr(float(margin)), *map(repr, phi)]
+         for complaint_id, margin, phi in zip(complaints.ids.tolist(), margins, shap.phi.tolist())),
     )
 
     (out_dir / "shap_summary.svg").write_text(
@@ -334,8 +324,8 @@ def stage_explain(
 
     # Governance archetypes on per-province means of either the predicted
     # probabilities (default) or the attribution vectors.
-    province_ids = sorted({c.province_id for c in complaints})
-    row_province = np.array([c.province_id for c in complaints])
+    province_ids = np.unique(complaints.province_ids)
+    row_province = complaints.province_ids
     in_province = [row_province == pid for pid in province_ids]
     per_province_prob = np.array([probabilities[rows].mean() for rows in in_province])
     vectors = np.vstack([summary.phi[rows].mean(axis=0) for rows in in_province]) if archetype_input == "shap" else None
@@ -345,7 +335,7 @@ def stage_explain(
         "input": archetype_input,
         "coproductive_cluster": split.coproductive_cluster,
         "province_archetype": {
-            str(pid): int(label) for pid, label in zip(province_ids, split.labels)
+            str(pid): int(label) for pid, label in zip(province_ids.tolist(), split.labels)
         },
         "mean_probability_by_archetype": {
             str(c): float(per_province_prob[split.labels == c].mean()) for c in (0, 1)
@@ -353,7 +343,7 @@ def stage_explain(
     }
     artifacts = ["shap.csv", "shap_summary.svg", "archetype_report.json"]
     for c in (0, 1):
-        rows = np.isin(row_province, np.array(province_ids)[split.labels == c])
+        rows = np.isin(row_province, province_ids[split.labels == c])
         if rows.sum() < 2:
             continue
         sub = treeshap.ShapSummary.of(summary.phi[rows], matrix.rows[rows], summary.feature_names)
@@ -410,16 +400,12 @@ def stage_causal(
     seed: int,
     out_dir: Path,
 ) -> dict:
-    provinces, complaints, schema = _load_inputs(provinces_path, complaints_path, scores_path, clusters_path)
+    provinces, complaints, theta, clusters, treated = _load_inputs(provinces_path, complaints_path, scores_path,
+                                                                   clusters_path)
     _make_dir(out_dir)
-    matrix = ds.build_feature_matrix(provinces, complaints, options.covariates, schema)
-    eco_group = {p.id: p.eco_group for p in provinces}
-    data = causal_mod.CausalDataset(
-        covariates=matrix.rows,
-        treatment=[eco_group[c.province_id] is dea_mod.EcoGroup.HIGH for c in complaints],
-        outcome=matrix.target,
-    )
-    groups = np.array([c.province_id for c in complaints]) if options.unit == "province" else None
+    matrix = ds.build_feature_matrix(provinces, complaints, options.covariates, theta, clusters)
+    data = causal_mod.CausalDataset(covariates=matrix.rows, treatment=treated, outcome=matrix.target)
+    groups = complaints.province_ids if options.unit == "province" else None
 
     # Built per call, not at import: perfbench/tracing.py replaces these
     # module attributes with timing wrappers after import, and the wrappers
@@ -589,7 +575,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "dea": lambda: stage_dea(provinces, out),
         "cluster": lambda: stage_cluster(
             complaints, config.cluster, derive_seed(config.seed, "cluster"), out,
-            province_groups=_province_groups(provinces, scores),
+            scores=(provinces, scores),
         ),
         "train": lambda: stage_train(
             provinces, complaints, scores, clusters,
@@ -724,13 +710,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "cluster":
         options = _options(ClusterOptions, _given(args, "k", "k_max", "permutations"), "cluster")
-        groups = None
+        scores = None
         if bool(args.dea_scores) != bool(args.provinces):
             raise ConfigError("--provinces and --dea-scores are joined for the centroid shifts: give both or neither")
         if args.dea_scores:
-            groups = _province_groups(_require_file(args.provinces), _require_file(args.dea_scores))
-        stage_cluster(_require_file(args.complaints), options, args.seed, Path(args.out),
-                      province_groups=groups)
+            scores = (_require_file(args.provinces), _require_file(args.dea_scores))
+        stage_cluster(_require_file(args.complaints), options, args.seed, Path(args.out), scores=scores)
         return EXIT_OK
 
     if args.command == "train":

@@ -1,13 +1,17 @@
-"""Data model, file ingestion, feature assembly, and synthetic fixtures.
+"""Input tables, file ingestion, feature assembly, and synthetic fixtures.
 
-Two input files drive everything downstream:
+Two input files drive everything downstream, each read into one frozen
+table of columns (what later stages derive travels as arrays aligned with
+its rows):
 
-* ``provinces.csv`` — one row per decision-making unit.  Header layout is
+* ``provinces.csv`` — one row per decision-making unit, read into
+  `Provinces`.  Header layout is
   ``id,name,<env input columns...>,gdp_output,<fiscal columns...>`` with a
   declared `ColumnSchema`; all numerics are 64-bit reals with ``.`` decimals.
 * ``complaints.jsonl`` — one JSON object per line with keys
   ``id, province_id, embedding, sentiment, attention, label`` where label 1
-  maps to a co-production response and 0 to a one-way response.
+  maps to a co-production response and 0 to a one-way response; read into
+  `Complaints`.
 
 `generate_synthetic` builds a fixture with planted ground truth at every
 stage: a known frontier subset among the provinces, well-separated Gaussian
@@ -25,64 +29,12 @@ import math
 import re
 import typing
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .dea import EcoGroup, split_by_median
 from .errors import DatasetError, FeatureError, IngestionError
-
-
-class ResponseLabel(Enum):
-    CO_PRODUCTION = 1
-    ONE_WAY = 0
-
-
-@dataclass(frozen=True)
-class ProvinceRecord:
-    """One decision-making unit: environmental inputs, GDP, fiscal profile."""
-
-    id: int
-    name: str
-    env_inputs: np.ndarray
-    gdp_output: float
-    fiscal_features: dict[str, float]
-    eco_score: float | None = None
-    eco_group: EcoGroup | None = None
-
-    def __post_init__(self):
-        env = np.asarray(self.env_inputs, dtype=np.float64)
-        if np.any(env < 0) or not np.all(np.isfinite(env)):
-            raise IngestionError(f"province {self.id}: env inputs must be finite and >= 0")
-        if not np.any(env > 0):
-            raise IngestionError(f"province {self.id}: at least one env input must be positive")
-        if not (math.isfinite(self.gdp_output) and self.gdp_output > 0):
-            raise IngestionError(f"province {self.id}: gdp_output must be positive")
-        if self.eco_score is not None and not 0.0 < self.eco_score <= 1.0:
-            raise IngestionError(f"province {self.id}: eco_score outside (0, 1]")
-        object.__setattr__(self, "env_inputs", env)
-
-
-@dataclass(frozen=True)
-class ComplaintRecord:
-    """One citizen message: embedding vector, sentiment, response label."""
-
-    id: int
-    province_id: int
-    embedding: np.ndarray
-    sentiment: float
-    attention: int
-    response_label: ResponseLabel
-    cluster_id: int | None = None
-
-    def __post_init__(self):
-        emb = np.asarray(self.embedding, dtype=np.float64)
-        if not np.all(np.isfinite(emb)):
-            raise IngestionError(f"complaint {self.id}: non-finite embedding entry")
-        if self.attention not in (0, 1):
-            raise IngestionError(f"complaint {self.id}: attention must be 0 or 1")
-        object.__setattr__(self, "embedding", emb)
 
 
 @dataclass(frozen=True)
@@ -117,6 +69,85 @@ DEFAULT_SCHEMA = ColumnSchema(
         "fiscal_general_services",
     ),
 )
+
+
+_INT64 = range(-2**63, 2**63)  # the ids an int64 column holds
+
+
+def _reject_first(kind: str, ids: np.ndarray, faults: list[tuple[np.ndarray, str]]) -> None:
+    """An IngestionError naming the first row of `ids` that any mask of
+    `faults` marks, with the message of the first mask that marks it."""
+    marked = np.any([mask for mask, _ in faults], axis=0)
+    if marked.any():
+        row = int(np.argmax(marked))
+        raise IngestionError(f"{kind} {ids[row]}: {next(message for mask, message in faults if mask[row])}")
+
+
+@dataclass(frozen=True)
+class Provinces:
+    """The rows of `provinces.csv` as columns, in file order: `ids`, `names`,
+    the n x m `env` inputs, `gdp` (gdp_output), the n x f `fiscal` columns,
+    and the `schema` that names the env and fiscal columns."""
+
+    ids: np.ndarray
+    names: tuple[str, ...]
+    env: np.ndarray
+    gdp: np.ndarray
+    fiscal: np.ndarray
+    schema: ColumnSchema
+
+    def __post_init__(self):
+        for name, dtype in (("ids", np.int64), ("env", np.float64), ("gdp", np.float64), ("fiscal", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "names", tuple(self.names))
+        n = len(self.ids)
+        shapes = (len(self.names), self.env.shape, self.gdp.shape, self.fiscal.shape)
+        if shapes != (n, (n, len(self.schema.env_columns)), (n,), (n, len(self.schema.fiscal_columns))):
+            raise DatasetError("province columns do not match the ids and the schema")
+        env = self.env
+        _reject_first("province", self.ids, [
+            (np.any(env < 0, axis=1) | ~np.all(np.isfinite(env), axis=1), "env inputs must be finite and >= 0"),
+            (~np.any(env > 0, axis=1), "at least one env input must be positive"),
+            (~(np.isfinite(self.gdp) & (self.gdp > 0)), "gdp_output must be positive"),
+        ])
+
+
+@dataclass(frozen=True)
+class Complaints:
+    """The records of `complaints.jsonl` as columns, in file order: `ids`,
+    `province_ids`, the n x d `embeddings`, `sentiment`, `attention` (0/1)
+    and `labels` (1 a co-production response, 0 a one-way response)."""
+
+    ids: np.ndarray
+    province_ids: np.ndarray
+    embeddings: np.ndarray
+    sentiment: np.ndarray
+    attention: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        columns = {"ids": np.int64, "province_ids": np.int64, "embeddings": np.float64,
+                   "sentiment": np.float64, "attention": np.int64, "labels": np.int64}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if self.embeddings.ndim != 2 or len({getattr(self, name).shape[:1] for name in columns}) != 1:
+            raise DatasetError("complaint columns differ in length")
+        _reject_first("complaint", self.ids, [
+            (~np.all(np.isfinite(self.embeddings), axis=1), "non-finite embedding entry"),
+            (~np.isin(self.attention, (0, 1)), "attention must be 0 or 1"),
+            (~np.isin(self.labels, (0, 1)), "label must be 0 or 1"),
+        ])
+
+    def province_rows(self, provinces: Provinces) -> np.ndarray:
+        """The row of `provinces` that holds each complaint's province; a
+        FeatureError names the first complaint whose province_id none has."""
+        index = {pid: row for row, pid in enumerate(provinces.ids.tolist())}
+        rows = [index.get(pid, -1) for pid in self.province_ids.tolist()]
+        if -1 in rows:
+            stray = rows.index(-1)
+            raise FeatureError(f"complaint {self.ids[stray]} has province_id {self.province_ids[stray]}, "
+                               "which no province has")
+        return np.array(rows, dtype=np.intp)
 
 
 def read_text(path: Path) -> str:
@@ -203,10 +234,11 @@ def checked(parse: typing.Callable[[str], typing.Any], check: typing.Callable[[t
     return parsed
 
 
-def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema]:
+def load_provinces(path: str | Path) -> Provinces:
     """Read `provinces.csv` under the schema its header declares: `id` an
     int, env inputs finite, >= 0 and not all 0, `gdp_output` finite and > 0,
-    fiscal columns finite.  Errors name the file, the line and the columns."""
+    fiscal columns finite, and at least one data row.  Errors name the file,
+    the line and the columns."""
     path = Path(path)
     schema = DEFAULT_SCHEMA  # replaced by the header's
 
@@ -221,7 +253,7 @@ def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema
             raise IngestionError(f"{path}: line 1: no env input column before column 'gdp_output'")
         schema = ColumnSchema(env_columns=tuple(header[2:split]), fiscal_columns=tuple(header[split + 1:]))
         return {
-            "id": int,
+            "id": checked(int, _INT64.__contains__),
             "name": str,
             **dict.fromkeys(schema.env_columns, checked(float, lambda value: 0 <= value < math.inf)),
             "gdp_output": checked(float, lambda value: 0 < value < math.inf),
@@ -232,26 +264,21 @@ def load_provinces(path: str | Path) -> tuple[list[ProvinceRecord], ColumnSchema
         if not any(row[c] > 0 for c in schema.env_columns):
             return f"every env input is 0 in columns {', '.join(map(repr, schema.env_columns))}"
 
-    table = read_table(path, parsers, all_zero)
-    records = [
-        ProvinceRecord(
-            id=row["id"],
-            name=row["name"],
-            env_inputs=np.array([row[c] for c in schema.env_columns]),
-            gdp_output=row["gdp_output"],
-            fiscal_features={c: row[c] for c in schema.fiscal_columns},
-        )
-        for row in table.values()
-    ]
-    return records, schema
+    rows = list(read_table(path, parsers, all_zero).values())
+    if not rows:
+        raise IngestionError(f"{path}: no data rows after the header")
+    return Provinces(ids=[row["id"] for row in rows], names=[row["name"] for row in rows],
+                     env=[[row[c] for c in schema.env_columns] for row in rows],
+                     gdp=[row["gdp_output"] for row in rows],
+                     fiscal=[[row[c] for c in schema.fiscal_columns] for row in rows], schema=schema)
 
 
-def write_provinces(path: str | Path, records: list[ProvinceRecord], schema: ColumnSchema) -> None:
-    """Write records in schema order; floats use shortest round-trip form."""
-    write_csv(path, schema.header(), (
-        [record.id, record.name, *map(repr, record.env_inputs.tolist()), repr(record.gdp_output),
-         *(repr(record.fiscal_features[c]) for c in schema.fiscal_columns)]
-        for record in records
+def write_provinces(path: str | Path, provinces: Provinces) -> None:
+    """Write the rows under their schema; floats use shortest round-trip form."""
+    write_csv(path, provinces.schema.header(), (
+        [pid, name, *map(repr, env), repr(gdp), *map(repr, fiscal)]
+        for pid, name, env, gdp, fiscal in zip(provinces.ids.tolist(), provinces.names, provinces.env.tolist(),
+                                               provinces.gdp.tolist(), provinces.fiscal.tolist())
     ))
 
 
@@ -289,6 +316,8 @@ def _complaint_fields(obj, where: str) -> tuple[int, int, np.ndarray, float, int
     for key in ("id", "province_id"):
         if type(obj[key]) is not int:
             raise IngestionError(f"{where}: field {key!r} must be an integer, got {obj[key]!r}")
+        if obj[key] not in _INT64:
+            raise IngestionError(f"{where}: field {key!r} must fit in 64 bits, got {obj[key]!r}")
     for key in ("attention", "label"):
         if type(obj[key]) is not int or obj[key] not in (0, 1):
             raise IngestionError(f"{where}: field {key!r} must be the integer 0 or 1, got {obj[key]!r}")
@@ -300,15 +329,16 @@ def _complaint_fields(obj, where: str) -> tuple[int, int, np.ndarray, float, int
     return obj["id"], obj["province_id"], embedding, float(obj["sentiment"]), obj["attention"], obj["label"]
 
 
-def load_complaints(path: str | Path) -> list[ComplaintRecord]:
+def load_complaints(path: str | Path) -> Complaints:
     """Read `complaints.jsonl`.
 
     The embedding dimension is declared by the first record; every later
-    record must match it, and no two records share an `id`.  Errors name
-    the file, the 1-based line and the field.
+    record must match it, no two records share an `id`, and the file holds
+    at least one record.  Errors name the file, the 1-based line and the
+    field.
     """
     path = Path(path)
-    records: list[ComplaintRecord] = []
+    records: list[tuple[int, int, np.ndarray, float, int, int]] = []
     id_lines: dict[int, int] = {}
     embedding_dim = None
     try:
@@ -328,7 +358,8 @@ def load_complaints(path: str | Path) -> list[ComplaintRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestionError(f"{where}: invalid JSON ({exc.msg})") from None
-            record_id, province_id, embedding, sentiment, attention, label = _complaint_fields(obj, where)
+            record = _complaint_fields(obj, where)
+            record_id, embedding = record[0], record[2]
             first_line = id_lines.setdefault(record_id, line_number)
             if first_line != line_number:
                 raise IngestionError(f"{where}: field 'id' repeats {record_id} from line {first_line}")
@@ -339,36 +370,20 @@ def load_complaints(path: str | Path) -> list[ComplaintRecord]:
                     f"{where}: embedding length {embedding.shape[0]} "
                     f"does not match declared dimension {embedding_dim}"
                 )
-            records.append(
-                ComplaintRecord(
-                    id=record_id,
-                    province_id=province_id,
-                    embedding=embedding,
-                    sentiment=sentiment,
-                    attention=attention,
-                    response_label=ResponseLabel(label),
-                )
-            )
-    return records
+            records.append(record)
+    if not records:
+        raise IngestionError(f"{path}: no records")
+    return Complaints(*map(np.array, zip(*records)))
 
 
-def write_complaints(path: str | Path, records: list[ComplaintRecord]) -> None:
+def write_complaints(path: str | Path, complaints: Complaints) -> None:
+    """One JSON object per line, in the key order of `_COMPLAINT_KEYS`."""
+    columns = (complaints.ids.tolist(), complaints.province_ids.tolist(), complaints.embeddings,
+               complaints.sentiment.tolist(), complaints.attention.tolist(), complaints.labels.tolist())
     with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "id": record.id,
-                        "province_id": record.province_id,
-                        "embedding": record.embedding.tolist(),
-                        "sentiment": record.sentiment,
-                        "attention": record.attention,
-                        "label": record.response_label.value,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        for cid, pid, embedding, sentiment, attention, label in zip(*columns):
+            record = dict(zip(_COMPLAINT_KEYS, (cid, pid, embedding.tolist(), sentiment, attention, label)))
+            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -416,48 +431,48 @@ class FeatureMatrix:
 
 
 def build_feature_matrix(
-    provinces: list[ProvinceRecord],
-    complaints: list[ComplaintRecord],
+    provinces: Provinces,
+    complaints: Complaints,
     columns: tuple[str, ...],
-    schema: ColumnSchema = DEFAULT_SCHEMA,
+    efficiency: np.ndarray | None = None,
+    clusters: np.ndarray | None = None,
 ) -> FeatureMatrix:
     """One row per complaint and one column per name in `columns`, each a
-    name of `feature_names(schema)` or a cluster indicator `cluster_<c>`; a
-    province feature takes the value of the complaint's province.  The
-    target is the complaint's response label."""
-    index = {p.id: i for i, p in enumerate(provinces)}
-    stray = next((c for c in complaints if c.province_id not in index), None)
-    if stray is not None:
-        raise FeatureError(f"complaint {stray.id} references unknown province {stray.province_id}")
-    home = np.array([index[c.province_id] for c in complaints], dtype=np.intp)
-    rows = np.empty((len(complaints), len(columns)))
+    name of `feature_names(provinces.schema)` or a cluster indicator
+    `cluster_<c>`; a province feature takes the value of the complaint's
+    province.  `eco_efficiency` reads `efficiency`, one score per province, and
+    `cluster_id` and the indicators read `clusters`, one label per
+    complaint.  The target is the complaint's label."""
+    home = complaints.province_rows(provinces)
+    schema = provinces.schema
+    clusters = None if clusters is None else np.asarray(clusters)
+    rows = np.empty((len(complaints.ids), len(columns)))
     for j, name in enumerate(columns):
         indicator = re.fullmatch(r"cluster_([0-9]+)", name)
         if name in ("sentiment", "attention"):
-            rows[:, j] = [getattr(c, name) for c in complaints]
+            rows[:, j] = getattr(complaints, name)
         elif name == "cluster_id" or indicator:
-            bad = next((c for c in complaints if c.cluster_id is None or c.cluster_id < 0), None)
-            if bad is not None:
-                raise FeatureError(f"complaint {bad.id} has cluster {bad.cluster_id}, not a label >= 0")
-            cluster = np.array([c.cluster_id for c in complaints])
-            rows[:, j] = cluster == int(indicator[1]) if indicator else cluster
+            if clusters is None:
+                raise FeatureError(f"complaint {complaints.ids[0]} has cluster None, not a label >= 0")
+            if np.any(clusters < 0):
+                bad = int(np.argmax(clusters < 0))
+                raise FeatureError(f"complaint {complaints.ids[bad]} has cluster {clusters[bad]}, not a label >= 0")
+            rows[:, j] = clusters == int(indicator[1]) if indicator else clusters
         else:
             if name == "eco_efficiency":
-                unscored = next((p for p in provinces if p.eco_score is None), None)
-                if unscored is not None:
-                    raise FeatureError(f"province {unscored.id} has no eco_efficiency score yet")
-                values = [p.eco_score for p in provinces]
+                if efficiency is None:
+                    raise FeatureError(f"province {provinces.ids[0]} has no eco_efficiency score yet")
+                values = efficiency
             elif name == "gdp_output":
-                values = [p.gdp_output for p in provinces]
+                values = provinces.gdp
             elif name in schema.env_columns:
-                values = [p.env_inputs[schema.env_columns.index(name)] for p in provinces]
+                values = provinces.env[:, schema.env_columns.index(name)]
             elif name in schema.fiscal_columns:
-                values = [p.fiscal_features[name] for p in provinces]
+                values = provinces.fiscal[:, schema.fiscal_columns.index(name)]
             else:
                 raise FeatureError(f"unknown feature {name!r}")
-            rows[:, j] = np.array(values, dtype=np.float64)[home]
-    target = [c.response_label.value for c in complaints]
-    return FeatureMatrix(columns=tuple(columns), rows=rows, target=target)
+            rows[:, j] = np.asarray(values, dtype=np.float64)[home]
+    return FeatureMatrix(columns=tuple(columns), rows=rows, target=complaints.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +599,7 @@ def _planted_frontier(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.
 
 def generate_synthetic(
     spec: SyntheticSpec, schema: ColumnSchema = DEFAULT_SCHEMA
-) -> tuple[list[ProvinceRecord], list[ComplaintRecord], GroundTruth]:
+) -> tuple[Provinces, Complaints, GroundTruth]:
     """Provinces + complaints + planted truth, a pure function of the spec."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_provinces
@@ -602,18 +617,15 @@ def generate_synthetic(
     else:
         groups = [EcoGroup.HIGH]
 
-    provinces = []
-    for j in range(n):
-        fiscal_values = fiscal_base * np.exp(0.2 * rng.standard_normal(len(fiscal_base)) + 0.25 * capacity[j])
-        provinces.append(
-            ProvinceRecord(
-                id=j + 1,
-                name=f"Province{j + 1:02d}",
-                env_inputs=levels[j] * mix,
-                gdp_output=float(gdp[j]),
-                fiscal_features={c: float(v) for c, v in zip(schema.fiscal_columns, fiscal_values)},
-            )
-        )
+    provinces = Provinces(
+        ids=np.arange(1, n + 1),
+        names=[f"Province{j + 1:02d}" for j in range(n)],
+        env=levels[:, None] * mix,
+        gdp=gdp,
+        fiscal=[fiscal_base * np.exp(0.2 * rng.standard_normal(len(fiscal_base)) + 0.25 * capacity[j])
+                for j in range(n)],
+        schema=schema,
+    )
 
     frontier_ids = tuple(int(j + 1) for j in range(n) if theta[j] == 1.0)
 
@@ -643,17 +655,14 @@ def generate_synthetic(
     probs = _sigmoid(eta + shift * treated)
     labels = (rng.random(spec.n_complaints) < probs).astype(np.int64)
 
-    complaints = [
-        ComplaintRecord(
-            id=i + 1,
-            province_id=int(province_index[i]) + 1,
-            embedding=embeddings[i],
-            sentiment=float(sentiment[i]),
-            attention=int(attention[i]),
-            response_label=ResponseLabel.CO_PRODUCTION if labels[i] else ResponseLabel.ONE_WAY,
-        )
-        for i in range(spec.n_complaints)
-    ]
+    complaints = Complaints(
+        ids=np.arange(1, spec.n_complaints + 1),
+        province_ids=province_index + 1,
+        embeddings=embeddings,
+        sentiment=sentiment,
+        attention=attention,
+        labels=labels,
+    )
 
     truth = GroundTruth(
         frontier_ids=frontier_ids,

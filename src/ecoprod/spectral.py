@@ -15,7 +15,7 @@ scores.
 Two descriptive helpers serve the cluster report: the co-production rate
 of each cluster and the shift between the mean embeddings of its high- and
 low-efficiency members.  Like the rest of the module they take arrays
-(cluster labels, 0/1 outcomes, a high-group mask), not complaint records,
+(cluster labels, 0/1 outcomes, a high-group mask), not `dataset` tables,
 so the module depends on no other part of the package but its errors,
 seeding and `parallel`.
 

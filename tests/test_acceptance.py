@@ -99,9 +99,9 @@ def test_dea_invariance_suite():
                               embedding_dim=4, seed=7)
     )
     panel27 = dea.DeaPanel(
-        inputs=np.column_stack([p.env_inputs for p in provinces]),
-        outputs=np.array([[p.gdp_output for p in provinces]]),
-        unit_ids=tuple(p.id for p in provinces),
+        inputs=provinces.env.T,
+        outputs=provinces.gdp[None, :],
+        unit_ids=tuple(provinces.ids.tolist()),
     )
     start = time.perf_counter()
     theta27 = dea.dea_scores(panel27, VRS).theta
@@ -119,7 +119,7 @@ def test_spectral_recovery():
         true_ate=0.2, confounding_strength=1.0, seed=42, cluster_separation=8.0,
     )
     _, complaints, truth = dataset.generate_synthetic(spec)
-    embeddings = np.array([c.embedding for c in complaints])
+    embeddings = complaints.embeddings
 
     assignment, _ = spectral.spectral_cluster(embeddings, 8, seed=derive_seed(42, "accept"))
     ari = adjusted_rand_index(truth.cluster_labels, assignment.labels)

@@ -2,6 +2,7 @@ import json
 import logging
 import multiprocessing
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -94,9 +95,43 @@ def test_bootstrap_lets_a_bug_propagate():
         causal.bootstrap_ci(buggy, randomized_data(n=60, seed=5), n_boot=60, seed=6)
 
 
-def test_bootstrap_requires_fifty_replicates():
-    with pytest.raises(CausalError):
-        causal.bootstrap_ci(causal.diff_means_point, randomized_data(n=50, seed=7), n_boot=10)
+def bootstrap_call(entry, n_boot, level=0.95):
+    """The bootstrap entry point `entry` with `n_boot` replicates; the three
+    interval routines also take `level`.  The estimators run in the row unit
+    or, with a ":province" suffix, over six groups, three in each arm."""
+    data = randomized_data(n=60, seed=7)
+    values = np.linspace(0.0, 1.0, 12)
+    if entry == "bootstrap_ci":
+        return causal.bootstrap_ci(causal.diff_means_point, data, n_boot, level)
+    if entry == "percentile_bootstrap_mean":
+        return causal.percentile_bootstrap_mean(values, n_boot, level, 0)
+    if entry == "bootstrap_group_diff_ci":
+        return causal.bootstrap_group_diff_ci(values[:6], values[6:], n_boot, level, 0)
+    method, _, unit = entry.partition(":")
+    groups = data.treatment * 3 + np.arange(data.n) % 3 if unit else None
+    if method == "diffmeans":
+        return causal.diff_means(data, n_boot, 0, groups)
+    if method == "cevae":
+        return causal.cevae_ate(causal.cevae_fit(data, replace(causal.DESK_PRESET, epochs=2)), data, n_boot, 0, groups)
+    return getattr(causal, f"{method}_learner")(data, TrainConfig(rounds=3, max_depth=2, folds=2), n_boot, 0, groups)
+
+
+INTERVAL_ROUTINES = ["bootstrap_ci", "percentile_bootstrap_mean", "bootstrap_group_diff_ci"]
+ESTIMATORS = [f"{method}{unit}" for method in ("diffmeans", "s", "t", "x", "r", "cevae") for unit in ("", ":province")]
+
+
+@pytest.mark.parametrize("entry", INTERVAL_ROUTINES + ESTIMATORS)
+def test_bootstrap_requires_fifty_replicates(entry):
+    with pytest.raises(CausalError, match="at least 50 bootstrap replicates"):
+        bootstrap_call(entry, 10)
+    assert bootstrap_call(entry, 50) is not None
+
+
+@pytest.mark.parametrize("entry", INTERVAL_ROUTINES)
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+def test_bootstrap_level_must_lie_between_0_and_1(entry, level):
+    with pytest.raises(CausalError, match=re.escape("level must lie in (0, 1)")):
+        bootstrap_call(entry, 60, level)
 
 
 def test_bootstrap_deterministic_per_seed():

@@ -658,6 +658,23 @@ def test_non_utf8_input_names_file_and_line(fixture_dir, run_a, tmp_path, capsys
     assert not (tmp_path / "out" / "ate_report.json").exists()
 
 
+@pytest.mark.parametrize("name,fault", [("provinces.csv", "no data rows after the header"),
+                                        ("complaints.jsonl", "no records")])
+def test_input_without_data_exits_2_naming_file(fixture_dir, run_a, tmp_path, capsys, name, fault):
+    shutil.copy(fixture_dir / "provinces.csv", tmp_path)
+    shutil.copy(fixture_dir / "complaints.jsonl", tmp_path)
+    header = (tmp_path / "provinces.csv").read_text().splitlines()[0] + "\n"
+    (tmp_path / name).write_text(header if name == "provinces.csv" else "")
+    inputs = ["--provinces", str(tmp_path / "provinces.csv"), "--complaints", str(tmp_path / "complaints.jsonl"),
+              "--dea-scores", str(run_a / "dea_scores.csv"), "--clusters", str(run_a / "clusters.csv")]
+    alone = (["dea", "--provinces", str(tmp_path / name)] if name == "provinces.csv"
+             else ["cluster", "--complaints", str(tmp_path / name)])
+    for argv in (alone, ["train", *inputs], ["causal", *inputs, "--method", "diffmeans", "--bootstrap", "0"]):
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2, argv
+        assert f"{tmp_path / name}: {fault}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_complaint_of_unknown_province_is_named(fixture_dir, run_a, tmp_path, capsys):
     lines = (fixture_dir / "complaints.jsonl").read_text().splitlines()
     stray = json.loads(lines[4])

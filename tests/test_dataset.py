@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ecoprod import dataset as ds
-from ecoprod.dea import EcoGroup
 from ecoprod.errors import DatasetError, FeatureError, IngestionError
 
 TWO_COLUMN_SCHEMA = ds.ColumnSchema(env_columns=("in1", "in2"), fiscal_columns=())
@@ -19,19 +18,18 @@ def write(tmp_path, text, name="provinces.csv"):
 
 def test_load_provinces_direct_mapping(tmp_path):
     path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,3.0,10.0\n")
-    records, schema = ds.load_provinces(path)
-    assert schema == TWO_COLUMN_SCHEMA
-    assert len(records) == 1
-    record = records[0]
-    assert record.env_inputs.tolist() == [2.0, 3.0]
-    assert record.gdp_output == 10.0
-    assert record.name == "Alpha"
-    assert record.eco_score is None and record.eco_group is None
+    provinces = ds.load_provinces(path)
+    assert provinces.schema == TWO_COLUMN_SCHEMA
+    assert len(provinces.ids) == 1
+    assert provinces.env[0].tolist() == [2.0, 3.0]
+    assert provinces.gdp[0] == 10.0
+    assert provinces.names[0] == "Alpha"
 
 
 def test_load_provinces_empty_data_section(tmp_path):
     path = write(tmp_path, "id,name,in1,in2,gdp_output\n")
-    assert ds.load_provinces(path) == ([], TWO_COLUMN_SCHEMA)
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: no data rows")):
+        ds.load_provinces(path)
 
 
 def test_load_provinces_negative_gdp_names_row_and_column(tmp_path):
@@ -52,6 +50,9 @@ def test_load_provinces_missing_column(tmp_path):
 def test_load_provinces_non_numeric_cell(tmp_path):
     path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,oops,10.0\n")
     with pytest.raises(IngestionError, match=re.escape(f"{path}: line 2: ") + ".*'in2'"):
+        ds.load_provinces(path)
+    path = write(tmp_path, "id,name,in1,in2,gdp_output\n1,Alpha,2.0,3.0,10.0\n9223372036854775808,Beta,2.0,3.0,10.0\n")
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: line 3: ") + ".*'id'"):
         ds.load_provinces(path)
 
 
@@ -86,33 +87,64 @@ def test_load_provinces_names_zero_row_after_multiline_names_from_one_read(tmp_p
 def test_province_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(3)
     schema = ds.DEFAULT_SCHEMA
-    records = [
-        ds.ProvinceRecord(
-            id=i,
-            name=f"P{i}",
-            env_inputs=rng.uniform(0.1, 7.3, len(schema.env_columns)),
-            gdp_output=float(rng.uniform(1, 100)) + 0.1 + 0.2,  # awkward float
-            fiscal_features={c: float(rng.standard_normal()) for c in schema.fiscal_columns},
-        )
-        for i in range(1, 6)
+    rows = [
+        (rng.uniform(0.1, 7.3, len(schema.env_columns)),
+         float(rng.uniform(1, 100)) + 0.1 + 0.2,  # awkward float
+         [float(rng.standard_normal()) for _ in schema.fiscal_columns])
+        for _ in range(1, 6)
     ]
+    provinces = ds.Provinces(
+        ids=range(1, 6), names=[f"P{i}" for i in range(1, 6)], env=[env for env, _, _ in rows],
+        gdp=[gdp for _, gdp, _ in rows], fiscal=[fiscal for _, _, fiscal in rows], schema=schema,
+    )
     path = tmp_path / "p.csv"
-    ds.write_provinces(path, records, schema)
-    loaded, loaded_schema = ds.load_provinces(path)
-    assert loaded_schema == schema
-    for before, after in zip(records, loaded):
-        assert after.env_inputs.tolist() == before.env_inputs.tolist()
-        assert after.gdp_output == before.gdp_output
-        assert after.fiscal_features == before.fiscal_features
+    ds.write_provinces(path, provinces)
+    loaded = ds.load_provinces(path)
+    assert loaded.schema == schema
+    assert loaded.env.tolist() == provinces.env.tolist()
+    assert loaded.gdp.tolist() == provinces.gdp.tolist()
+    assert loaded.fiscal.tolist() == provinces.fiscal.tolist()
+
+
+def test_tables_name_the_first_row_that_breaks_an_invariant():
+    def provinces(**columns):
+        return ds.Provinces(**{"ids": [1, 2, 3], "names": ["A", "B", "C"], "env": [[1.0, 2.0]] * 3,
+                               "gdp": [1.0] * 3, "fiscal": [[]] * 3, "schema": TWO_COLUMN_SCHEMA, **columns})
+
+    def complaints(**columns):
+        return ds.Complaints(**{"ids": [11, 12, 13], "province_ids": [1, 1, 2], "embeddings": [[0.0]] * 3,
+                                "sentiment": [0.0] * 3, "attention": [0] * 3, "labels": [1] * 3, **columns})
+
+    faults = [
+        (lambda: provinces(env=[[1.0, 2.0], [1.0, -1.0], [0.0, 0.0]]), "province 2: env inputs must be finite and >= 0"),
+        (lambda: provinces(env=[[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]), "province 3: at least one env input must be positive"),
+        (lambda: provinces(gdp=[1.0, np.nan, 0.0]), "province 2: gdp_output must be positive"),
+        (lambda: complaints(embeddings=[[0.0], [np.inf], [0.0]]), "complaint 12: non-finite embedding entry"),
+        (lambda: complaints(attention=[0, 1, 2]), "complaint 13: attention must be 0 or 1"),
+        (lambda: complaints(labels=[1, -1, 2]), "complaint 12: label must be 0 or 1"),
+    ]
+    for build, message in faults:
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            build()
+    for build in (lambda: provinces(gdp=[1.0, 1.0]), lambda: provinces(env=[[1.0]] * 3),
+                  lambda: complaints(labels=[1, 1]), lambda: complaints(embeddings=[0.0] * 3)):
+        with pytest.raises(DatasetError):
+            build()
 
 
 def test_load_complaints_trivial(tmp_path):
     line = {"id": 1, "province_id": 1, "embedding": [0.1, 0.2], "sentiment": 0.3,
             "attention": 0, "label": 1}
     path = write(tmp_path, json.dumps(line) + "\n", "c.jsonl")
-    records = ds.load_complaints(path)
-    assert records[0].response_label is ds.ResponseLabel.CO_PRODUCTION
-    assert records[0].embedding.tolist() == [0.1, 0.2]
+    complaints = ds.load_complaints(path)
+    assert complaints.labels[0] == 1
+    assert complaints.embeddings[0].tolist() == [0.1, 0.2]
+
+
+def test_load_complaints_without_a_record(tmp_path):
+    path = write(tmp_path, "\n", "complaints.jsonl")
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: no records")):
+        ds.load_complaints(path)
 
 
 def test_load_complaints_dimension_mismatch(tmp_path):
@@ -173,6 +205,8 @@ BAD_COMPLAINT_FIELDS = [
     ("id", "true"),
     ("id", "7.0"),
     ("province_id", "null"),
+    ("id", "9223372036854775808"),  # past the int64 range of the table's columns
+    ("province_id", "-9223372036854775809"),
     ("attention", "0.7"),
     ("attention", "true"),
     ("attention", "2"),
@@ -203,57 +237,47 @@ def test_load_complaints_rejects_mistyped_field_naming_file_line_and_field(tmp_p
 
 
 def test_complaint_round_trip_is_exact(tmp_path):
-    records = [
-        ds.ComplaintRecord(
-            id=i, province_id=1, embedding=np.array([0.1 * i, -2.5, 1e-17]),
-            sentiment=0.30000000000000004, attention=i % 2,
-            response_label=ds.ResponseLabel.ONE_WAY,
-        )
-        for i in range(1, 4)
-    ]
+    complaints = ds.Complaints(
+        ids=[1, 2, 3], province_ids=[1, 1, 1], embeddings=[[0.1 * i, -2.5, 1e-17] for i in range(1, 4)],
+        sentiment=[0.30000000000000004] * 3, attention=[i % 2 for i in range(1, 4)], labels=[0, 0, 0],
+    )
     path = tmp_path / "c.jsonl"
-    ds.write_complaints(path, records)
+    ds.write_complaints(path, complaints)
     loaded = ds.load_complaints(path)
-    for before, after in zip(records, loaded):
-        assert after.embedding.tolist() == before.embedding.tolist()
-        assert after.sentiment == before.sentiment
-
-
-def make_province(pid, eco=0.8):
-    return ds.ProvinceRecord(
-        id=pid, name=f"P{pid}", env_inputs=np.array([1.0]), gdp_output=2.0,
-        fiscal_features={"fiscal_a": 3.0}, eco_score=eco, eco_group=EcoGroup.HIGH,
-    )
-
-
-def make_complaint(cid, pid, cluster=0):
-    return ds.ComplaintRecord(
-        id=cid, province_id=pid, embedding=np.array([0.0, 1.0]), sentiment=0.1,
-        attention=1, response_label=ds.ResponseLabel.CO_PRODUCTION, cluster_id=cluster,
-    )
+    assert loaded.embeddings.tolist() == complaints.embeddings.tolist()
+    assert loaded.sentiment.tolist() == complaints.sentiment.tolist()
 
 
 SMALL_SCHEMA = ds.ColumnSchema(env_columns=("env_a",), fiscal_columns=("fiscal_a",))
 SMALL_COLUMNS = ("eco_efficiency", "fiscal_a", "cluster_id")
 
 
-def test_feature_matrix_contains_eco_score():
-    matrix = ds.build_feature_matrix(
-        [make_province(1, eco=0.8)], [make_complaint(1, 1)], SMALL_COLUMNS, SMALL_SCHEMA
+def make_province(pid):
+    return ds.Provinces(ids=[pid], names=[f"P{pid}"], env=[[1.0]], gdp=[2.0], fiscal=[[3.0]], schema=SMALL_SCHEMA)
+
+
+def make_complaints(*rows):
+    """Complaints from (id, province id) pairs."""
+    return ds.Complaints(
+        ids=[cid for cid, _ in rows], province_ids=[pid for _, pid in rows], embeddings=[[0.0, 1.0]] * len(rows),
+        sentiment=[0.1] * len(rows), attention=[1] * len(rows), labels=[1] * len(rows),
     )
+
+
+def test_feature_matrix_contains_eco_score():
+    matrix = ds.build_feature_matrix(make_province(1), make_complaints((1, 1)), SMALL_COLUMNS, [0.8], [0])
     assert matrix.rows[0, matrix.columns.index("eco_efficiency")] == 0.8
     assert matrix.target.tolist() == [1]
 
 
 def test_feature_matrix_dangling_province():
     with pytest.raises(FeatureError, match="99"):
-        ds.build_feature_matrix([make_province(1)], [make_complaint(1, 99)], SMALL_COLUMNS, SMALL_SCHEMA)
+        ds.build_feature_matrix(make_province(1), make_complaints((1, 99)), SMALL_COLUMNS, [0.8], [0])
 
 
 def test_feature_matrix_shares_province_columns():
     matrix = ds.build_feature_matrix(
-        [make_province(1)], [make_complaint(1, 1, cluster=0), make_complaint(2, 1, cluster=1)],
-        SMALL_COLUMNS, SMALL_SCHEMA,
+        make_province(1), make_complaints((1, 1), (2, 1)), SMALL_COLUMNS, [0.8], np.array([0, 1]),
     )
     assert matrix.rows.shape[0] == 2
     province_cols = [matrix.columns.index("eco_efficiency"), matrix.columns.index("fiscal_a")]
@@ -262,40 +286,42 @@ def test_feature_matrix_shares_province_columns():
 
 def test_feature_matrix_missing_feature_named():
     with pytest.raises(FeatureError, match="nope"):
-        ds.build_feature_matrix([make_province(1)], [make_complaint(1, 1)], ("nope",), SMALL_SCHEMA)
+        ds.build_feature_matrix(make_province(1), make_complaints((1, 1)), ("nope",), [0.8], [0])
 
 
 def test_feature_matrix_resolves_every_feature_name():
-    provinces = [
-        ds.ProvinceRecord(id=pid, name=f"P{pid}", env_inputs=np.array([1.0 + pid, 2.0 * pid]),
-                          gdp_output=3.0 * pid, fiscal_features={"f": 5.0 + pid}, eco_score=0.1 * pid,
-                          eco_group=EcoGroup.HIGH)
-        for pid in (1, 2)
-    ]
-    complaints = [
-        ds.ComplaintRecord(id=10 + i, province_id=pid, embedding=np.zeros(2), sentiment=-0.5 * i,
-                           attention=i % 2, response_label=ds.ResponseLabel(i % 2), cluster_id=cluster)
-        for i, (pid, cluster) in enumerate([(2, 1), (1, 0), (2, 2), (2, 1)])
-    ]
     schema = ds.ColumnSchema(env_columns=("e1", "e2"), fiscal_columns=("f",))
+    provinces = ds.Provinces(
+        ids=[1, 2], names=["P1", "P2"], env=[[1.0 + pid, 2.0 * pid] for pid in (1, 2)],
+        gdp=[3.0 * pid for pid in (1, 2)], fiscal=[[5.0 + pid] for pid in (1, 2)], schema=schema,
+    )
+    eco_scores = np.array([0.1 * pid for pid in (1, 2)])
+    rows = [(2, 1), (1, 0), (2, 2), (2, 1)]  # (province id, cluster) of each complaint
+    complaints = ds.Complaints(
+        ids=[10 + i for i in range(4)], province_ids=[pid for pid, _ in rows], embeddings=np.zeros((4, 2)),
+        sentiment=[-0.5 * i for i in range(4)], attention=[i % 2 for i in range(4)], labels=[i % 2 for i in range(4)],
+    )
+    clusters = np.array([cluster for _, cluster in rows])
     names = ds.feature_names(schema)
     assert names == ("eco_efficiency", "gdp_output", "e1", "e2", "f", "sentiment", "attention", "cluster_id")
-    matrix = ds.build_feature_matrix(provinces, complaints, names, schema)
+    matrix = ds.build_feature_matrix(provinces, complaints, names, eco_scores, clusters)
     expected = [
-        [p.eco_score, p.gdp_output, *p.env_inputs, p.fiscal_features["f"], c.sentiment, c.attention, c.cluster_id]
-        for c in complaints for p in provinces if p.id == c.province_id
+        [eco_scores[p], provinces.gdp[p], *provinces.env[p], provinces.fiscal[p, 0],
+         complaints.sentiment[i], complaints.attention[i], clusters[i]]
+        for i, pid in enumerate(complaints.province_ids) for p in range(2) if provinces.ids[p] == pid
     ]
     assert matrix.rows.tolist() == expected
     assert matrix.target.tolist() == [0, 1, 0, 1]
-    onehot = ds.build_feature_matrix(provinces, complaints, ("cluster_0", "cluster_1", "cluster_2"), schema)
+    onehot = ds.build_feature_matrix(provinces, complaints, ("cluster_0", "cluster_1", "cluster_2"),
+                                     eco_scores, clusters)
     assert onehot.rows.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
 
 @pytest.mark.parametrize("cluster", [None, -1])
 def test_feature_matrix_rejects_missing_or_negative_cluster(cluster):
     with pytest.raises(FeatureError, match="complaint 1 has cluster"):
-        ds.build_feature_matrix([make_province(1)], [make_complaint(1, 1, cluster=cluster)],
-                                ("cluster_0",), SMALL_SCHEMA)
+        ds.build_feature_matrix(make_province(1), make_complaints((1, 1)), ("cluster_0",), [0.8],
+                                None if cluster is None else np.array([cluster]))
 
 
 def test_classifier_has_27_columns():
@@ -332,7 +358,7 @@ def small_spec(**overrides):
 def test_generate_synthetic_bit_identical(tmp_path):
     for run in ("a", "b"):
         provinces, complaints, truth = ds.generate_synthetic(small_spec())
-        ds.write_provinces(tmp_path / f"p_{run}.csv", provinces, ds.DEFAULT_SCHEMA)
+        ds.write_provinces(tmp_path / f"p_{run}.csv", provinces)
         ds.write_complaints(tmp_path / f"c_{run}.jsonl", complaints)
         ds.write_ground_truth(tmp_path / f"g_{run}.json", truth)
     for name in ("p", "c", "g"):
@@ -343,8 +369,8 @@ def test_generate_synthetic_bit_identical(tmp_path):
 def test_generate_synthetic_unconfounded_diff_means():
     spec = small_spec(n_complaints=3000, true_ate=0.4, confounding_strength=0.0, seed=21)
     provinces, complaints, truth = ds.generate_synthetic(spec)
-    treated = np.array([truth.province_groups[c.province_id] == "High" for c in complaints])
-    labels = np.array([c.response_label.value for c in complaints], dtype=float)
+    treated = np.array([truth.province_groups[pid] == "High" for pid in complaints.province_ids.tolist()])
+    labels = complaints.labels.astype(float)
     diff = labels[treated].mean() - labels[~treated].mean()
     p1, p0 = labels[treated].mean(), labels[~treated].mean()
     se = np.sqrt(p1 * (1 - p1) / treated.sum() + p0 * (1 - p0) / (~treated).sum())
@@ -354,7 +380,7 @@ def test_generate_synthetic_unconfounded_diff_means():
 def test_generate_synthetic_nearest_centroid_recovers_clusters():
     spec = small_spec(n_clusters=2, n_complaints=300, cluster_separation=10.0, seed=9)
     _, complaints, truth = ds.generate_synthetic(spec)
-    embeddings = np.array([c.embedding for c in complaints])
+    embeddings = complaints.embeddings
     centroids = np.array([
         embeddings[truth.cluster_labels == c].mean(axis=0) for c in range(2)
     ])

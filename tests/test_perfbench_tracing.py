@@ -55,6 +55,32 @@ for model in (gbm.train_classifier(x, (x[:, 0] > 0).astype(float), config), gbm.
     assert counted == expected, (counted, expected)
 """
 
+# A traced pipeline over a tiny synth fixture: the tracer must still see the
+# complaint loads, the megabytes they parse and the feature-matrix builds.
+TRACED_PIPELINE = """
+import json, sys
+from pathlib import Path
+import tracing
+from ecoprod import cli
+
+work = Path(sys.argv[1])
+assert cli.main(["synth", "--out", str(work), "--provinces", "8", "--complaints", "60", "--clusters", "2",
+                 "--embedding-dim", "4", "--seed", "3"]) == 0
+config = {
+    "inputs": {"provinces": "provinces.csv", "complaints": "complaints.jsonl"},
+    "cluster": {"k": 2, "permutations": 2},
+    "train": {"rounds": 3, "max_depth": 2, "folds": 2},
+    "causal": {"methods": ["diffmeans", "s"], "bootstrap": 0, "base_learner": {"rounds": 3}},
+}
+(work / "config.json").write_text(json.dumps(config))
+tracer = tracing.install()
+assert cli.main(["pipeline", "--config", str(work / "config.json")]) == 0
+metrics = tracer.metrics(0.0)
+assert metrics["dataset.load_complaints_calls"] > 0, metrics
+assert metrics["dataset.complaints_mb_parsed"] > 0, metrics
+assert metrics["dataset.build_feature_matrix_s"] > 0, metrics
+"""
+
 
 def run_in_perfbench(*argv):
     return subprocess.run(
@@ -76,4 +102,9 @@ def test_causal_workload_builds_options_and_binds_stage_causal(tmp_path):
 
 def test_tree_counters_count_the_trained_trees_and_nodes():
     result = run_in_perfbench("-c", MODEL_COUNTERS)
+    assert result.returncode == 0, result.stderr
+
+
+def test_traced_pipeline_sees_the_loaders(tmp_path):
+    result = run_in_perfbench("-c", TRACED_PIPELINE, str(tmp_path))
     assert result.returncode == 0, result.stderr

@@ -148,7 +148,7 @@ def synth_embeddings(n_provinces, n_complaints, n_clusters, dim, seed=11):
     spec = dataset.SyntheticSpec(n_provinces=n_provinces, n_complaints=n_complaints, n_clusters=n_clusters,
                                  embedding_dim=dim, seed=seed)
     _, complaints, _ = dataset.generate_synthetic(spec)
-    return np.array([c.embedding for c in complaints])
+    return complaints.embeddings
 
 
 # Largest accepted difference between the silhouettes of the Lanczos and the
